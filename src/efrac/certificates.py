@@ -13,27 +13,35 @@ for one tuple, mirroring the inductive argument:
   Sylvester suffix. Take ell, the largest index where that happens.
   Dividing the ell-suffix domination by the (strictly dominated) shorter
   suffixes yields a chain of prefix-product inequalities for the tail,
-  which is exactly the hypothesis set of the majorization module; the
-  tail sums then compare in b's disfavor, and the head b1..b(ell-1) is
-  handled by recursion. Equality propagates only through all-equal tails
-  and an equality head.
+  which is the hypothesis set of the sum comparison in
+  :mod:`efrac.majorization`; the tail sums then compare in b's disfavor,
+  and the head b1..b(ell-1) is handled by recursion. Equality propagates
+  only through all-equal tails and an equality head.
 * ``Empty``: the zero-length tuple; both sums are 0.
 
-:func:`validate_certificate` is an independent re-checker. It shares no
-proof logic with the builder: every product, the maximality of ell, every
-chain pair, both sum comparisons, and the head recursion are re-derived
-from the stored tuple using integer arithmetic over common denominators.
+The builder works in integers only: one backward pass over suffix
+products finds ell and the deficit witness, and one forward pass over the
+tail builds the chain and both tail sums as numerators over the running
+products, compared by cross multiplication. :func:`quick_strict_check`,
+:func:`largest_ell` and :func:`chain_from_ell` compute the same pieces
+one at a time; they are the reference the builder is tested against.
+
+:func:`validate_certificate` is an independent re-checker, also in
+integers. It shares no code with the builder: every product, the
+maximality of ell, every chain pair, both sum comparisons, and the head
+recursion are re-derived from the stored tuple and the validator's own
+Sylvester table, with sums compared over common denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .errors import ChainViolated, PreconditionProductDeficit
-from .majorization import MajorizationInstance, check_hypotheses, sum_dominates
-from .rationals import DenominatorTuple, Fraction, product, validate_tuple
+from .rationals import DenominatorTuple, product, validate_tuple
 from .sylvester import sylvester
 
 
@@ -163,94 +171,117 @@ def build_certificate(
     return _build(tup.terms)
 
 
+@lru_cache(maxsize=None)
+def _sylvester_prefix(k: int) -> tuple[tuple[int, ...], int]:
+    """The builder's (terms, product) table, one entry per length."""
+    prefix = sylvester(k)
+    return prefix.terms, prefix.running_product
+
+
 @lru_cache(maxsize=1 << 16)
 def _build(terms: tuple[int, ...]) -> InequalityCertificate:
     k = len(terms)
     if k == 0:
         return InequalityCertificate((), Empty(), True)
 
-    prefix = sylvester(k)
-    a_terms = prefix.terms
-    b_product = product(terms)
-    if b_product < prefix.running_product:
+    a_terms, a_product = _sylvester_prefix(k)
+    b_product = math.prod(terms)
+    if b_product < a_product:
         return InequalityCertificate(
-            terms, ProductDeficit(b_product, prefix.running_product), False
+            terms, ProductDeficit(b_product, a_product), False
         )
 
-    ell = largest_ell(DenominatorTuple(terms))
-    chain = chain_from_ell(DenominatorTuple(terms), ell)
-    if ell < k:
-        witness_b = product(terms[ell:])
-        witness_a = product(a_terms[ell:])
-        if witness_b >= witness_a:
-            raise ChainViolated(
-                f"suffix from {ell + 1} dominates ({witness_b} >= {witness_a}) "
-                f"although ell = {ell} was reported maximal"
-            )
-        witness: Optional[tuple[int, int]] = (witness_b, witness_a)
-    else:
-        witness = None
+    # Backward pass over suffix products: ell is the first (largest) index
+    # whose suffix dominates, and the suffix just after it is the witness.
+    # The full product dominates, so the loop stops at ell = 1 at the latest.
+    witness: Optional[tuple[int, int]] = None
+    suffix_b = suffix_a = 1
+    for ell in range(k, 0, -1):
+        suffix_b *= terms[ell - 1]
+        suffix_a *= a_terms[ell - 1]
+        if suffix_b >= suffix_a:
+            break
+        witness = (suffix_b, suffix_a)
 
-    # The chain is exactly prefix-product domination for the reciprocal
-    # tail, so the majorization module certifies the tail sum comparison.
-    tail_b = terms[ell - 1 :]
-    tail_a = a_terms[ell - 1 :]
-    inst = MajorizationInstance(
-        tuple(Fraction(1, t) for t in tail_a),
-        tuple(Fraction(1, t) for t in tail_b),
-    )
-    if not check_hypotheses(inst):
-        raise ChainViolated("tail failed prefix-product domination")
-    dominates, equal_sums = sum_dominates(inst)
-    if not dominates:
-        raise ChainViolated("tail sum comparison failed under valid hypotheses")
-    tail_equality = tail_b == tail_a
-    if equal_sums != tail_equality:
+    # Forward pass over the tail: the chain of products of terms ell..j,
+    # and both tail sums as numerators over those running products.
+    chain = []
+    run_b = run_a = 1
+    sum_b = sum_a = 0
+    for j in range(ell - 1, k):
+        sum_b = sum_b * terms[j] + run_b
+        sum_a = sum_a * a_terms[j] + run_a
+        run_b *= terms[j]
+        run_a *= a_terms[j]
+        if run_b < run_a:
+            raise ChainViolated(
+                f"prefix product through position {j + 1} has b-side {run_b} "
+                f"below a-side {run_a}; ell = {ell} was not chosen maximal"
+            )
+        chain.append((run_b, run_a))
+
+    # The chain is prefix-product domination for the reciprocal tail, so
+    # the tail sum of b cannot exceed the Sylvester tail sum, with equality
+    # exactly for entrywise equal tails.
+    lhs = sum_b * run_a
+    rhs = sum_a * run_b
+    if lhs > rhs:
+        raise ChainViolated("tail sum exceeds the Sylvester tail sum")
+    tail_equality = terms[ell - 1 :] == a_terms[ell - 1 :]
+    if (lhs == rhs) != tail_equality:
         raise ChainViolated(
             "tail sums agree exactly when the tails are entrywise equal; "
             "the two checks disagreed"
         )
 
     head = _build(terms[: ell - 1])
-    node = Split(ell, chain, witness, tail_equality, head)
+    node = Split(ell, tuple(chain), witness, tail_equality, head)
     return InequalityCertificate(terms, node, tail_equality and head.is_equality)
 
 
 # --- independent re-checker ------------------------------------------------
 #
 # Everything below re-derives the certificate's claims from the stored
-# tuple using only integer arithmetic (sums are compared as integer
-# numerators over common denominators, never via Fraction addition), so a
-# bug in the builder's route cannot hide here.
+# tuple with its own integer helpers (sums are integer numerators over
+# common denominators) and shares no code with the builder, so a bug in
+# the builder's route cannot hide here.
 
 
-def _sylvester_terms_direct(k: int) -> tuple[int, ...]:
+# Results are frozen, so every successful check can share one instance.
+_VALID = ValidationResult(True)
+
+
+def _sylvester_table(
+    k: int,
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Sylvester terms a1..ak with their prefix products and sum numerators.
+
+    ``prods[i]`` is a1 * ... * ai and ``nums[i]`` is the numerator of
+    1/a1 + ... + 1/ai over ``prods[i]``, for i = 0..k. One table covers a
+    whole certificate: every head is a prefix of its parent's tuple.
+    """
     terms = []
-    prod = 1
+    prods = [1]
     for _ in range(k):
-        terms.append(prod + 1)
-        prod *= terms[-1]
-    return tuple(terms)
-
-
-def _int_product(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
+        terms.append(prods[-1] + 1)
+        prods.append(prods[-1] * terms[-1])
+    nums = [_sum_numerator(terms[:i], prods[i]) for i in range(k + 1)]
+    return tuple(terms), prods, nums
 
 
 def _sum_numerator(values: Sequence[int], common: int) -> int:
     # common must be divisible by every value; callers pass the product.
-    return sum(common // v for v in values)
+    # A plain loop beats sum() over a generator on tuples this short.
+    total = 0
+    for v in values:
+        total += common // v
+    return total
 
 
-def _compare_sums(b_side: Sequence[int], a_side: Sequence[int]) -> int:
-    """Sign of sum(1/b) - sum(1/a), computed by cross multiplication."""
-    pb = _int_product(b_side)
-    pa = _int_product(a_side)
-    lhs = _sum_numerator(b_side, pb) * pa
-    rhs = _sum_numerator(a_side, pa) * pb
+def _compare_sums(num_b: int, pb: int, num_a: int, pa: int) -> int:
+    """Sign of num_b/pb - num_a/pa, computed by cross multiplication."""
+    lhs = num_b * pa
+    rhs = num_a * pb
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -260,6 +291,13 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
     A failed check is reported as ``ValidationResult(False, reason)`` with
     a short structured reason string.
     """
+    return _validate(cert, None)
+
+
+def _validate(
+    cert: InequalityCertificate,
+    table: Optional[tuple[tuple[int, ...], list[int], list[int]]],
+) -> ValidationResult:
     terms = tuple(cert.terms)
     k = len(terms)
 
@@ -270,12 +308,17 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
             return ValidationResult(
                 False, f"terms_not_sorted: terms[{i - 1}] > terms[{i}]"
             )
-    pb = _int_product(terms)
-    if _sum_numerator(terms, pb) >= pb:
+    pb = math.prod(terms)
+    num_b = _sum_numerator(terms, pb)
+    if num_b >= pb:
         return ValidationResult(False, "sum_not_below_one")
 
-    a_terms = _sylvester_terms_direct(k)
-    pa = _int_product(a_terms)
+    # Heads are checked to be prefixes before recursing, so the top-level
+    # table is long enough at every level.
+    if table is None:
+        table = _sylvester_table(k)
+    a_terms, a_prods, a_nums = table
+    pa = a_prods[k]
     node = cert.node
 
     if isinstance(node, Empty):
@@ -283,7 +326,7 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
             return ValidationResult(False, "empty_node_on_nonempty_tuple")
         if cert.is_equality is not True:
             return ValidationResult(False, "empty_certificate_must_claim_equality")
-        return ValidationResult(True)
+        return _VALID
 
     if isinstance(node, ProductDeficit):
         if k == 0:
@@ -300,18 +343,19 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
             )
         if cert.is_equality:
             return ValidationResult(False, "deficit_certificate_claims_equality")
-        if _compare_sums(terms, a_terms) >= 0:
+        if _compare_sums(num_b, pb, a_nums[k], pa) >= 0:
             return ValidationResult(False, "final_inequality_not_strict")
-        return ValidationResult(True)
+        return _VALID
 
     if isinstance(node, Split):
         ell = node.ell
         if not isinstance(ell, int) or not 1 <= ell <= k:
             return ValidationResult(False, f"ell_out_of_range: {ell!r}")
 
-        # suffix products of both sides for positions j .. k
-        suffix_b = {k + 1: 1}
-        suffix_a = {k + 1: 1}
+        # suffix products of both sides for positions j .. k (index k + 1
+        # is the empty suffix)
+        suffix_b = [1] * (k + 2)
+        suffix_a = [1] * (k + 2)
         for j in range(k, 0, -1):
             suffix_b[j] = terms[j - 1] * suffix_b[j + 1]
             suffix_a[j] = a_terms[j - 1] * suffix_a[j + 1]
@@ -366,10 +410,17 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
                 )
 
         tail_b = terms[ell - 1 :]
-        tail_a = a_terms[ell - 1 :]
+        tail_a = a_terms[ell - 1 : k]
         if node.tail_equality != (tail_b == tail_a):
             return ValidationResult(False, "tail_equality_flag_wrong")
-        tail_sign = _compare_sums(tail_b, tail_a)
+        tail_pb = suffix_b[ell]
+        tail_pa = suffix_a[ell]
+        tail_sign = _compare_sums(
+            _sum_numerator(tail_b, tail_pb),
+            tail_pb,
+            _sum_numerator(tail_a, tail_pa),
+            tail_pa,
+        )
         if tail_sign > 0:
             return ValidationResult(False, "tail_sum_comparison_violated")
         if (tail_sign == 0) != node.tail_equality:
@@ -382,17 +433,17 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
                 f"head_tuple_mismatch: head covers {head.terms}, expected "
                 f"{terms[: ell - 1]}",
             )
-        head_result = validate_certificate(head)
+        head_result = _validate(head, table)
         if not head_result.ok:
             return ValidationResult(False, f"head: {head_result.reason}")
 
         if cert.is_equality != (node.tail_equality and head.is_equality):
             return ValidationResult(False, "equality_flag_inconsistent")
-        final_sign = _compare_sums(terms, a_terms)
+        final_sign = _compare_sums(num_b, pb, a_nums[k], pa)
         if final_sign > 0:
             return ValidationResult(False, "final_inequality_violated")
         if (final_sign == 0) != cert.is_equality:
             return ValidationResult(False, "final_strictness_wrong")
-        return ValidationResult(True)
+        return _VALID
 
     return ValidationResult(False, f"unknown_node_kind: {type(node).__name__}")

@@ -531,8 +531,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     }
     rendered = render_report(report)
     if cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(
+                f"error:WriteFailed: cannot write {cfg.output_path}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 1
         for line in plain:
             print(line)
     elif cfg.output_format == "structured":

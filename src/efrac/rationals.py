@@ -138,16 +138,22 @@ def validate_tuple(
 ) -> DenominatorTuple:
     """Check order, term size, and that the reciprocal sum stays below target.
 
+    ``target`` is an ``int`` or a :class:`Fraction`.
+
     Input order is respected, never repaired: ``[3, 2]`` is rejected with
     :class:`NotSorted` even though sorting would make it valid. Use
     :func:`normalized_tuple` when sorting on the caller's behalf is wanted.
     """
     tup = raw if isinstance(raw, DenominatorTuple) else DenominatorTuple(tuple(raw))
-    total = sum_reciprocals(tup)
-    if total >= target:
+    # The sum is num/den with den the term product; compare it with the
+    # target p/q by cross multiplication (den and q are positive).
+    num, den = 0, 1
+    for term in tup.terms:
+        num, den = num * term + den, den * term
+    if num * target.denominator >= target.numerator * den:
         raise SumNotBelowOne(
-            f"reciprocal sum {format_rational(total)} is not strictly below "
-            f"{format_rational(target)}"
+            f"reciprocal sum {format_rational(Fraction(num, den))} is not "
+            f"strictly below {format_rational(target)}"
         )
     return tup
 

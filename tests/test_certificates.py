@@ -1,14 +1,17 @@
 """Certificate construction and the independent re-checker.
 
-The builder and the validator take deliberately different routes (Fraction
-arithmetic and the majorization module on one side, integer cross
-multiplication on the other), so agreement between them is evidence, not
-tautology. Tampering tests flip single fields and expect the validator to
-name the broken claim.
+Both sides work in integers, and they stay independent because they share
+no code: the builder makes one backward pass over suffix products and one
+forward pass over the tail, while the validator re-derives every claim from
+its own Sylvester table and its own sums over common denominators. The
+public reference functions (``quick_strict_check``, ``largest_ell``,
+``chain_from_ell``) serve as an oracle for the builder's nodes. Tampering
+tests flip single fields and expect the validator to name the broken claim.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from efrac import (
     build_certificate,
     chain_from_ell,
     largest_ell,
+    product,
     quick_strict_check,
     sum_reciprocals,
     sylvester,
@@ -83,6 +87,44 @@ class TestChainFromEll:
             chain_from_ell((2, 3, 9, 42), 0)
         with pytest.raises(ValueError):
             chain_from_ell((2, 3, 9, 42), 5)
+
+
+def assert_matches_reference(terms):
+    """The builder's node agrees with the public reference functions."""
+    node = build_certificate(terms).node
+    deficit = quick_strict_check(terms)
+    if deficit is not None:
+        assert node == deficit, terms
+        return
+    ell = largest_ell(terms)
+    a_terms = sylvester(len(terms)).terms
+    assert isinstance(node, Split), terms
+    assert node.ell == ell, terms
+    assert node.chain == chain_from_ell(terms, ell), terms
+    if ell == len(terms):
+        assert node.deficit_witness is None, terms
+    else:
+        witness = (product(terms[ell:]), product(a_terms[ell:]))
+        assert node.deficit_witness == witness, terms
+    assert node.tail_equality == (terms[ell - 1 :] == a_terms[ell - 1 :]), terms
+
+
+class TestBuilderAgainstReference:
+    @given(valid_tuples())
+    @settings(max_examples=400)
+    def test_random_tuples(self, terms):
+        assert_matches_reference(terms)
+
+    def test_every_tuple_up_to_three_terms(self):
+        checked = 0
+        for k in range(1, 4):
+            for terms in combinations_with_replacement(range(2, 61), k):
+                p = product(terms)
+                if sum(p // t for t in terms) >= p:
+                    continue
+                assert_matches_reference(terms)
+                checked += 1
+        assert checked == 59 + 1769 + 35925
 
 
 class TestBuildCertificate:
@@ -221,11 +263,85 @@ class TestValidateCertificate:
         assert not result.ok
         assert "head_tuple_mismatch" in result.reason
 
+    def test_raised_ell_is_not_dominating(self):
+        cert = build_certificate((2, 3, 9, 42))
+        bad = replace(cert, node=replace(cert.node, ell=4))
+        result = validate_certificate(bad)
+        assert result.reason == "suffix_not_dominating: at j = 4, 42 < 43"
+
+    def test_tampered_head_two_levels_down(self):
+        cert = build_certificate((2, 3, 9, 42))
+        head = cert.node.head
+        assert head.terms == (2, 3) and head.node.head.terms == (2,)
+        bad_inner = replace(head.node.head, is_equality=False)
+        bad_head = replace(head, node=replace(head.node, head=bad_inner))
+        bad = replace(cert, node=replace(cert.node, head=bad_head))
+        result = validate_certificate(bad)
+        assert result.reason == "head: head: equality_flag_inconsistent"
+
     def test_empty_node_on_nonempty_tuple_is_caught(self):
         bad = replace(build_certificate(()), terms=(2,))
         result = validate_certificate(bad)
         assert not result.ok
         assert "empty_node_on_nonempty_tuple" in result.reason
+
+
+class Forged(int):
+    """An int term whose products and quotients with chosen ints are off.
+
+    ``rmul`` and ``rfloordiv`` map a plain int ``x`` to the error added to
+    ``x * term`` and ``x // term``. Under honest integer arithmetic the
+    chain inequality and the three sum checks follow from the checks before
+    them, so only forged arithmetic can show that each is still wired to
+    its own reason.
+    """
+
+    def __new__(cls, value, rmul=None, rfloordiv=None):
+        self = super().__new__(cls, value)
+        self.rmul = rmul or {}
+        self.rfloordiv = rfloordiv or {}
+        return self
+
+    def __rmul__(self, other):
+        return int(other) * int(self) + self.rmul.get(other, 0)
+
+    def __rfloordiv__(self, other):
+        return int(other) // int(self) + self.rfloordiv.get(other, 0)
+
+
+def forge(cert, position, **lies):
+    """Replace one term of a certificate with a forged copy of itself."""
+    terms = list(cert.terms)
+    terms[position] = Forged(terms[position], **lies)
+    return replace(cert, terms=tuple(terms))
+
+
+class TestValidatorDefenceInDepth:
+    def test_chain_inequality_violated(self):
+        # 1 * 9 reads as 4, so the chain restarting at 9 falls below 7
+        cert = build_certificate((2, 3, 9, 42))
+        bad = forge(cert, 2, rmul={1: -5})
+        bad = replace(bad, node=replace(cert.node, chain=((4, 7), (168, 301))))
+        result = validate_certificate(bad)
+        assert result.reason == "chain_inequality_violated: at j = 3"
+
+    def test_tail_sum_comparison_violated(self):
+        # 378 // 42 reads as 21: tail sum 63/378 above the Sylvester 50/301
+        cert = build_certificate((2, 3, 9, 42))
+        bad = forge(cert, 3, rfloordiv={378: 12})
+        assert validate_certificate(bad).reason == "tail_sum_comparison_violated"
+
+    def test_tail_strictness_wrong(self):
+        # equal tails (43,) whose sums no longer agree
+        cert = build_certificate((2, 3, 7, 43))
+        bad = forge(cert, 3, rfloordiv={43: -1})
+        assert validate_certificate(bad).reason == "tail_strictness_wrong"
+
+    def test_final_strictness_wrong(self):
+        # only the full sum moves: 1804/1806 against a claimed equality
+        cert = build_certificate((2, 3, 7, 43))
+        bad = forge(cert, 3, rfloordiv={1806: -1})
+        assert validate_certificate(bad).reason == "final_strictness_wrong"
 
 
 class TestCrossModuleAgreement:

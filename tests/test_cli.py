@@ -173,6 +173,17 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:Usage:")
 
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = invoke(
+            capsys, "sum", "--tuple", "2,3", "--output", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:WriteFailed:")
+        assert len(err.splitlines()) == 1
+        assert not path.exists()
+
     def test_verification_failure_exits_two(self, capsys, monkeypatch):
         # no honest input can make a verification fail, so fail the
         # dispatch seam itself to pin the exit-code contract

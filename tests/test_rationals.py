@@ -159,6 +159,29 @@ class TestValidateTuple:
         with pytest.raises(SumNotBelowOne):
             normalized_tuple([2, 2])
 
+    @given(
+        st.lists(st.integers(min_value=2, max_value=30), max_size=6).map(sorted),
+        st.one_of(
+            st.just(1),
+            st.integers(min_value=1, max_value=60).flatmap(
+                lambda q: st.builds(
+                    Fraction, st.integers(min_value=1, max_value=q), st.just(q)
+                )
+            ),
+        ),
+    )
+    def test_integer_check_agrees_with_fraction_sum(self, terms, target):
+        total = sum_reciprocals(terms)
+        if total < target:
+            assert validate_tuple(terms, target).terms == tuple(terms)
+            return
+        with pytest.raises(SumNotBelowOne) as info:
+            validate_tuple(terms, target)
+        assert str(info.value) == (
+            f"reciprocal sum {format_rational(total)} is not strictly below "
+            f"{format_rational(target)}"
+        )
+
     @given(valid_tuples())
     def test_generated_tuples_validate(self, terms):
         tup = validate_tuple(terms)
