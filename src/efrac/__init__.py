@@ -61,7 +61,6 @@ from .rationals import (
     ONE,
     ZERO,
     DenominatorTuple,
-    Rational,
     format_rational,
     format_terms,
     normalized_tuple,
@@ -103,7 +102,6 @@ __all__ = [
     "PreconditionProductDeficit",
     "ProductDeficit",
     "PropositionCounterexample",
-    "Rational",
     "SearchProblem",
     "Split",
     "SumNotBelowOne",

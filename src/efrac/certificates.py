@@ -289,9 +289,15 @@ def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
     """Re-derive every claim from the tuple alone; never raises.
 
     A failed check is reported as ``ValidationResult(False, reason)`` with
-    a short structured reason string.
+    a short structured reason string. A field of the wrong type, such as a
+    ``None`` head, chain or term list, fails as ``malformed_certificate``.
     """
-    return _validate(cert, None)
+    try:
+        return _validate(cert, None)
+    except Exception as exc:
+        return ValidationResult(
+            False, f"malformed_certificate: {type(exc).__name__}: {exc}"
+        )
 
 
 def _validate(

@@ -18,8 +18,6 @@ from typing import Iterable, Iterator, Sequence, Union, overload
 
 from .errors import NotSorted, ParseError, SumNotBelowOne, TermTooSmall
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

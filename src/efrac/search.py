@@ -10,12 +10,29 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   s + m/b; any b > m/(t - s) therefore cannot reach the threshold and is
   discarded. The floor keeps the boundary case where all remaining terms
   are equal and the total lands exactly on the threshold.
+* if t <= s, every completion beats the incumbent and the second bound
+  is void, so the node takes hi = lo. The greedy pick at a node is
+  exactly lo, and t <= s still holds below it, so this first descent is
+  the greedy completion of the prefix; its m = 1 leaf lifts t above s,
+  and hi is recomputed from the new t after each child returns. The node
+  thus explores what it would after reseeding t with its greedy
+  completion sum.
 
 Ties with the incumbent are collected, never discarded, so the search
-reports the full optimum set. Worker processes split the tree at a fixed
-depth and explore their subtrees against the seed threshold with local
-tightening only; the explored node set is therefore a pure function of
-the problem, and reports are byte-identical for any worker count.
+reports the full optimum set. The tree is split at depth
+d = min(2, k - 1): one pass lists the admissible prefixes of length d,
+then each prefix's subtree is explored against the seed threshold with
+local tightening only, in this process or in a worker. The prefix pass
+reaches no leaf and never tightens, so the explored node set is a pure
+function of the problem, and reports are byte-identical for any worker
+count.
+
+With no leaf to lift t, the prefix pass would lose prefixes at a node
+with t <= s. The seed is therefore t = max(given threshold, g), where g
+is the greedy k-term sum, and every node that pass expands has s < g:
+at the root s = 0 < g; at depth 1, expanded only when d = 2 and so
+k >= 3, s = 1/b1 <= 1/g1 < g, since b1 >= lo = g1, the greedy first
+term, and g adds further positive terms to 1/g1.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .errors import DepthCapExceeded, VerificationFailed
@@ -76,108 +94,62 @@ def greedy_underapprox(target: Union[Fraction, int], k: int) -> DenominatorTuple
     return DenominatorTuple(tuple(terms))
 
 
-def _greedy_completion_sum(
-    target: Fraction, s: Fraction, prev: int, m: int
-) -> Fraction:
-    """Sum of the greedy completion of a prefix, respecting nondecreasingness."""
-    total = s
-    b = prev
-    for _ in range(m):
-        gap = target - total
-        b = max(b, gap.denominator // gap.numerator + 1)
-        total += Fraction(1, b)
-    return total
-
-
-def _subtree_search(
+def _walk(
     k: int,
     target: Fraction,
     threshold: Fraction,
+    stop: int,
     prefix: tuple[int, ...],
     prefix_sum: Fraction,
-) -> tuple[Fraction, list[tuple[int, ...]], int]:
-    """Explore all completions of one prefix with local tightening.
+) -> tuple[
+    Fraction, list[tuple[int, ...]], list[tuple[tuple[int, ...], Fraction]], int
+]:
+    """Explore the completions of a prefix, cutting every branch at depth stop.
 
     Returns (final local best, tuples attaining it inclusively of the
-    starting threshold, nodes explored). Pure function of its arguments.
+    starting threshold, admissible prefixes of length stop in order, nodes
+    explored). The incumbent tightens only at leaves. Pure function of its
+    arguments.
     """
     best = threshold
     cands: list[tuple[int, ...]] = []
+    frontier: list[tuple[tuple[int, ...], Fraction]] = []
     nodes = 0
 
     def rec(pref: tuple[int, ...], s: Fraction) -> None:
         nonlocal best, cands, nodes
+        if len(pref) == stop:
+            frontier.append((pref, s))
+            return
         m = k - len(pref)
-        prev = pref[-1] if pref else 2
         gap = target - s
-        lo = max(prev, gap.denominator // gap.numerator + 1)
-        if best <= s:
-            # Only reachable off the unit target with a weak seed: every
-            # completion would beat the incumbent, so reseed with this
-            # prefix's greedy completion to keep the candidate range finite.
-            best = _greedy_completion_sum(target, s, prev, m)
-            cands = []
-        room = best - s
-        hi = (m * room.denominator) // room.numerator
-        if m == 1:
-            # Totals fall as b grows, so the smallest admissible term is
-            # the only candidate that can match or beat the incumbent.
-            if lo <= hi:
-                nodes += 1
-                total = s + Fraction(1, lo)
+        lo = max(pref[-1] if pref else 2, gap.denominator // gap.numerator + 1)
+        b = lo
+        while True:
+            room = best - s
+            if room.numerator <= 0:
+                hi = lo
+            else:
+                hi = (m * room.denominator) // room.numerator
+            if b > hi:
+                return
+            nodes += 1
+            if m == 1:
+                # Totals fall as b grows, so the smallest admissible term
+                # is the only candidate that can match or beat the
+                # incumbent.
+                total = s + Fraction(1, b)
                 if total > best:
                     best = total
-                    cands = [pref + (lo,)]
+                    cands = [pref + (b,)]
                 else:  # total == best by the bound derivation
-                    cands.append(pref + (lo,))
-            return
-        b = lo
-        while b <= hi:
-            nodes += 1
+                    cands.append(pref + (b,))
+                return
             rec(pref + (b,), s + Fraction(1, b))
             b += 1
-            room = best - s
-            hi = (m * room.denominator) // room.numerator
+
     rec(prefix, prefix_sum)
-    return best, cands, nodes
-
-
-def _subtree_job(
-    args: tuple[int, Fraction, Fraction, tuple[int, ...], Fraction]
-) -> tuple[Fraction, list[tuple[int, ...]], int]:
-    return _subtree_search(*args)
-
-
-def _frontier(
-    k: int, target: Fraction, threshold: Fraction, depth: int
-) -> tuple[list[tuple[tuple[int, ...], Fraction]], Fraction, int]:
-    """Enumerate all admissible prefixes of the split depth, in order."""
-    out: list[tuple[tuple[int, ...], Fraction]] = []
-    nodes = 0
-
-    def rec(pref: tuple[int, ...], s: Fraction) -> None:
-        nonlocal nodes, threshold
-        if len(pref) == depth:
-            out.append((pref, s))
-            return
-        m = k - len(pref)
-        prev = pref[-1] if pref else 2
-        gap = target - s
-        lo = max(prev, gap.denominator // gap.numerator + 1)
-        if threshold <= s:
-            threshold = _greedy_completion_sum(target, s, prev, m)
-        room = threshold - s
-        hi = (m * room.denominator) // room.numerator
-        b = lo
-        while b <= hi:
-            nodes += 1
-            rec(pref + (b,), s + Fraction(1, b))
-            b += 1
-            room = threshold - s
-            hi = (m * room.denominator) // room.numerator
-
-    rec((), ZERO)
-    return out, threshold, nodes
+    return best, cands, frontier, nodes
 
 
 def best_tuples(
@@ -187,11 +159,13 @@ def best_tuples(
     incumbent_threshold: Optional[Fraction] = None,
     workers: int = 1,
     depth_cap: int = DEFAULT_DEPTH_CAP,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
 ) -> OptimalityReport:
     """Enumerate every k-term tuple whose sum attains the maximum below target.
 
     Seeds the incumbent with the greedy tuple unless a threshold is given.
+    A given threshold below the greedy sum seeds the search at the greedy
+    sum instead, which leaves the optima unchanged; the report's problem
+    keeps the given value.
     The optimum set is collected inclusively (sums equal to the threshold
     count) and returned in lexicographic order.
     """
@@ -207,8 +181,9 @@ def best_tuples(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
+    greedy_sum = sum_reciprocals(greedy_underapprox(target, k))
     if incumbent_threshold is None:
-        threshold = sum_reciprocals(greedy_underapprox(target, k))
+        threshold = greedy_sum
     else:
         threshold = Fraction(incumbent_threshold)
     if not ZERO <= threshold < target:
@@ -228,17 +203,20 @@ def best_tuples(
             bool(optima) and target == ONE,
         )
 
-    depth = max(0, min(split_depth, k - 1))
-    frontier, threshold, nodes = _frontier(k, target, threshold, depth)
-    jobs = [(k, target, threshold, pref, s) for pref, s in frontier]
-    if workers == 1 or len(jobs) <= 1:
-        results = [_subtree_job(job) for job in jobs]
+    seed = max(threshold, greedy_sum)
+    depth = min(DEFAULT_SPLIT_DEPTH, k - 1)
+    _, _, frontier, nodes = _walk(k, target, seed, depth, (), ZERO)
+    prefixes = [pref for pref, _ in frontier]
+    sums = [s for _, s in frontier]
+    job = partial(_walk, k, target, seed, k)
+    if workers == 1 or len(frontier) <= 1:
+        results = list(map(job, prefixes, sums))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_subtree_job, jobs))
+            results = list(pool.map(job, prefixes, sums))
 
     all_cands: list[tuple[Fraction, tuple[int, ...]]] = []
-    for local_best, local_cands, local_nodes in results:
+    for local_best, local_cands, _, local_nodes in results:
         nodes += local_nodes
         all_cands.extend((local_best, cand) for cand in local_cands)
 

@@ -285,6 +285,17 @@ class TestValidateCertificate:
         assert not result.ok
         assert "empty_node_on_nonempty_tuple" in result.reason
 
+    @pytest.mark.parametrize("field", ["head", "chain", "terms"])
+    def test_missing_field_is_rejected_not_raised(self, field):
+        cert = build_certificate((2, 3, 9, 42))
+        if field == "terms":
+            bad = replace(cert, terms=None)
+        else:
+            bad = replace(cert, node=replace(cert.node, **{field: None}))
+        result = validate_certificate(bad)
+        assert not result.ok
+        assert result.reason.startswith("malformed_certificate: ")
+
 
 class Forged(int):
     """An int term whose products and quotients with chosen ints are off.

@@ -1,0 +1,24 @@
+"""Each self-asserting script in demos/ runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,7 @@ from efrac import (
     validate_tuple,
     verify_theorem,
 )
+from efrac.search import _walk
 
 F = Fraction
 
@@ -122,6 +123,35 @@ class TestBestTuples:
         sums = [best_tuples(k).optimum_sum for k in range(1, 6)]
         assert all(sums[i] < sums[i + 1] for i in range(4))
 
+    @pytest.mark.parametrize(
+        "k,target,nodes",
+        [
+            (3, F(7, 10), 14),
+            (3, F(11, 13), 7),
+            (4, F(7, 10), 197),
+            (4, F(9, 13), 227),
+            (4, F(12, 13), 47),
+        ],
+    )
+    def test_pinned_node_counts(self, k, target, nodes):
+        # a change to the explored node set must show up here as a diff
+        assert best_tuples(k, target).nodes_explored == nodes
+
+    @pytest.mark.parametrize(
+        "target", [F(1), F(7, 10), F(5, 6), F(11, 13), F(99, 100)]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_weak_threshold_searches_from_the_greedy_sum(self, k, target):
+        # a threshold below the greedy sum seeds the search at the greedy
+        # sum, so only the reported problem differs from the default seed
+        default = best_tuples(k, target)
+        for threshold in (F(0), F(1, 4)):
+            report = best_tuples(k, target, incumbent_threshold=threshold)
+            assert report.problem.incumbent_threshold == threshold
+            assert report.optima == default.optima
+            assert report.optimum_sum == default.optimum_sum
+            assert report.nodes_explored == default.nodes_explored
+
 
 def brute_force_best(k, bmax, target=F(1)):
     """Bound-free enumeration over terms <= bmax; the completeness oracle."""
@@ -147,9 +177,11 @@ def brute_force_best(k, bmax, target=F(1)):
 
 
 class TestCompleteness:
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_bound_free_enumeration_unit_target(self, k):
-        expected_sum, expected_optima = brute_force_best(k, 50)
+        # 45 still holds the k = 4 optimum (2, 3, 7, 43) and keeps the
+        # bound-free run near a second
+        expected_sum, expected_optima = brute_force_best(k, 45 if k == 4 else 50)
         report = best_tuples(k)
         assert report.optimum_sum == expected_sum
         assert [t.terms for t in report.optima] == expected_optima
@@ -165,6 +197,24 @@ class TestCompleteness:
         expected_sum, expected_optima = brute_force_best(3, 150, target)
         assert report.optimum_sum == expected_sum
         assert [t.terms for t in report.optima] == expected_optima
+
+    @pytest.mark.parametrize(
+        "target", [F(1), F(7, 10), F(5, 6), F(11, 13), F(99, 100)]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_unseeded_walk_reseeds_itself(self, k, target):
+        # from threshold 0 every node on the first descent has t <= s and
+        # takes hi = lo: the greedy completion must lift the incumbent
+        # and the walk must still reach the full optimum set
+        report = best_tuples(k, target)
+        best, cands, frontier, nodes = _walk(k, target, F(0), k, (), F(0))
+        assert frontier == []
+        assert best == report.optimum_sum
+        assert sorted(cands) == [t.terms for t in report.optima]
+        if target == 1:
+            # the greedy seed is the optimum, so no subtree tightens and
+            # the split changes nothing
+            assert nodes == report.nodes_explored
 
 
 class TestVerifyTheorem:
@@ -182,6 +232,10 @@ class TestVerifyTheorem:
         assert report.optimum_sum == expected
         assert report.matches_sylvester
         assert [t.terms for t in report.optima] == [sylvester(k).terms]
+
+    def test_pinned_node_counts(self):
+        nodes = [verify_theorem(k).nodes_explored for k in range(1, 7)]
+        assert nodes == [1, 2, 6, 29, 397, 29041]
 
     def test_zero_terms(self):
         report = verify_theorem(0)
