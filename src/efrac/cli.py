@@ -46,6 +46,7 @@ from .majorization import (
 )
 from .rationals import (
     ONE,
+    _decimal,
     format_rational,
     format_terms,
     parse_int_list,
@@ -251,23 +252,23 @@ def _config_dict(cfg: RunConfig, command: str) -> dict[str, Any]:
 def certificate_to_dict(cert: InequalityCertificate) -> dict[str, Any]:
     out: dict[str, Any] = {
         "is_equality": cert.is_equality,
-        "terms": [str(t) for t in cert.terms],
+        "terms": [_decimal(t) for t in cert.terms],
     }
     node = cert.node
     if isinstance(node, Empty):
         out["kind"] = "empty"
     elif isinstance(node, ProductDeficit):
         out["kind"] = "product_deficit"
-        out["b_product"] = str(node.b_product)
-        out["a_product"] = str(node.a_product)
+        out["b_product"] = _decimal(node.b_product)
+        out["a_product"] = _decimal(node.a_product)
     elif isinstance(node, Split):
         out["kind"] = "split"
         out["ell"] = node.ell
-        out["chain"] = [[str(b), str(a)] for b, a in node.chain]
+        out["chain"] = [[_decimal(b), _decimal(a)] for b, a in node.chain]
         out["deficit_witness"] = (
             None
             if node.deficit_witness is None
-            else [str(v) for v in node.deficit_witness]
+            else [_decimal(v) for v in node.deficit_witness]
         )
         out["tail_equality"] = node.tail_equality
         out["head"] = certificate_to_dict(node.head)
@@ -291,7 +292,7 @@ def _search_result(report: OptimalityReport) -> dict[str, Any]:
             if report.optimum_sum is None
             else format_rational(report.optimum_sum)
         ),
-        "optima": [[str(t) for t in tup] for tup in report.optima],
+        "optima": [[_decimal(t) for t in tup] for tup in report.optima],
         "nodes_explored": report.nodes_explored,
         "matches_sylvester": report.matches_sylvester,
     }
@@ -308,8 +309,8 @@ def _cmd_sylvester(cfg, args):
     total = sum_reciprocals(prefix.terms)
     result = {
         "k": prefix.k,
-        "terms": [str(t) for t in prefix.terms],
-        "running_product": str(prefix.running_product),
+        "terms": [_decimal(t) for t in prefix.terms],
+        "running_product": _decimal(prefix.running_product),
         "reciprocal_sum": format_rational(total),
         "shortfall": format_rational(ONE - total),
     }
@@ -320,9 +321,9 @@ def _cmd_sum(cfg, args):
     tup = validate_tuple(parse_terms(args.terms_text))
     total = sum_reciprocals(tup)
     result = {
-        "terms": [str(t) for t in tup],
+        "terms": [_decimal(t) for t in tup],
         "sum": format_rational(total),
-        "product": str(product(tup)),
+        "product": _decimal(product(tup)),
         "shortfall": format_rational(ONE - total),
     }
     return result, [format_rational(total)], None
@@ -425,8 +426,8 @@ def _cmd_muirhead(cfg, args):
     lhs = symmetric_sum(inst.alpha, inst.values)
     rhs = symmetric_sum(inst.alpha_prime, inst.values)
     result = {
-        "alpha": [str(a) for a in inst.alpha],
-        "alpha_prime": [str(a) for a in inst.alpha_prime],
+        "alpha": [_decimal(a) for a in inst.alpha],
+        "alpha_prime": [_decimal(a) for a in inst.alpha_prime],
         "values": [format_rational(v) for v in inst.values],
         "majorizes": dominated,
         "symmetric_sum_alpha": format_rational(lhs),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union, overload
@@ -35,12 +36,34 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+# CPython 3.10.7 and later cap int-to-str conversion; earlier ones do not.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size, without lifting CPython's digit cap.
+
+    Below 2**(3 * cap) an int has at most cap digits (8 < 10), so it goes
+    to ``str`` directly. A larger one is split at a power of ten below
+    half its digit count (0.15 < log10(2) / 2) and each half rendered the
+    same way, the low half zero-padded.
+    """
+    cap = _max_str_digits()
+    if not cap or n.bit_length() <= 3 * cap:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    digits = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**digits)
+    return _decimal(high) + _decimal(low).zfill(digits)
+
+
 def format_rational(value: Fraction) -> str:
     """Render in lowest terms, omitting the denominator when it is 1."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -55,7 +78,7 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def format_int_list(values: Iterable[int]) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(_decimal(v) for v in values)
 
 
 def parse_rational_list(text: str) -> tuple[Fraction, ...]:

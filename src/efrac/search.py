@@ -17,6 +17,28 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   and hi is recomputed from the new t after each child returns. The node
   thus explores what it would after reseeding t with its greedy
   completion sum.
+* at m = 2 (the closing step) write the gap target - s = p/q in lowest
+  terms, x = pb - q and y = pc - q for the last two terms b <= c, and
+  G = target - t > 0. Multiplying 1/b + 1/c < p/q by p*b*c*q shows it
+  is equivalent to xy > q^2. With e = xy - q^2 >= 1 the leaf's deficit
+  is D = p/q - p/(q + x) - p/(q + y) = p*e*x / (q(q + x)(q(q + x) + e)),
+  which grows with e; the leaf reaches t exactly when D <= G.
+  - For x <= q: e >= 1 and q + x <= 2q give
+    D >= p*x / (2q^2(2q^2 + 1)), so D <= G forces
+    x <= X = floor(2G*q^2(2q^2 + 1)/p).
+  - For x > q: c >= b gives y >= x and e >= x^2 - q^2, so
+    D >= p(x - q)/(q(q + x)) >= p/(q(2q + 1)). When X < q,
+    G < p/(2q(2q^2 + 1)) <= p/(q(2q + 1)), so no such x reaches t.
+  Hence, when X < q, the node takes hi = min(hi, floor((q + X)/p)).
+  X shrinks as t grows, so it is recomputed with hi after each child.
+  D <= G keeps ties. Without this step the level scans b over a range
+  of about q values: after the unit-target prefix 2, 3, 7, 43, 1807
+  that is 3,263,442 values with one admissible pair.
+
+All of this runs on integers: the prefix sum, the incumbent, the gap and
+the room t - s are carried as (numerator, denominator) pairs, lo and hi
+come from floor division and leaves are compared by cross
+multiplication. Only the gap at m = 2 is reduced to lowest terms.
 
 Ties with the incumbent are collected, never discarded, so the search
 reports the full optimum set. The tree is split at depth
@@ -41,6 +63,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Optional, Sequence, Union
 
 from .errors import DepthCapExceeded, VerificationFailed
@@ -111,45 +134,52 @@ def _walk(
     explored). The incumbent tightens only at leaves. Pure function of its
     arguments.
     """
-    best = threshold
+    tn, td = target.numerator, target.denominator
+    bn, bd = threshold.numerator, threshold.denominator
     cands: list[tuple[int, ...]] = []
     frontier: list[tuple[tuple[int, ...], Fraction]] = []
     nodes = 0
 
-    def rec(pref: tuple[int, ...], s: Fraction) -> None:
-        nonlocal best, cands, nodes
+    def rec(pref: tuple[int, ...], sn: int, sd: int) -> None:
+        # the prefix sum is sn/sd and the incumbent bn/bd, neither reduced
+        nonlocal bn, bd, cands, nodes
         if len(pref) == stop:
-            frontier.append((pref, s))
+            frontier.append((pref, Fraction(sn, sd)))
             return
         m = k - len(pref)
-        gap = target - s
-        lo = max(pref[-1] if pref else 2, gap.denominator // gap.numerator + 1)
+        gn, gd = tn * sd - sn * td, td * sd
+        lo = max(pref[-1] if pref else 2, gd // gn + 1)
+        if m == 2:
+            g = gcd(gn, gd)
+            p, q = gn // g, gd // g
+            qq = q * q
         b = lo
         while True:
-            room = best - s
-            if room.numerator <= 0:
-                hi = lo
-            else:
-                hi = (m * room.denominator) // room.numerator
+            room = bn * sd - sn * bd
+            hi = lo if room <= 0 else (m * bd * sd) // room
+            if m == 2:
+                x_max = 2 * (tn * bd - bn * td) * qq * (2 * qq + 1) // (td * bd * p)
+                if x_max < q:
+                    hi = min(hi, (q + x_max) // p)
             if b > hi:
                 return
             nodes += 1
+            cn, cd = sn * b + sd, sd * b
             if m == 1:
                 # Totals fall as b grows, so the smallest admissible term
                 # is the only candidate that can match or beat the
                 # incumbent.
-                total = s + Fraction(1, b)
-                if total > best:
-                    best = total
+                if cn * bd > bn * cd:
+                    bn, bd = cn, cd
                     cands = [pref + (b,)]
                 else:  # total == best by the bound derivation
                     cands.append(pref + (b,))
                 return
-            rec(pref + (b,), s + Fraction(1, b))
+            rec(pref + (b,), cn, cd)
             b += 1
 
-    rec(prefix, prefix_sum)
-    return best, cands, frontier, nodes
+    rec(prefix, prefix_sum.numerator, prefix_sum.denominator)
+    return Fraction(bn, bd), cands, frontier, nodes
 
 
 def best_tuples(

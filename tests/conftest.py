@@ -1,7 +1,10 @@
 """Shared strategies and samplers for the test suite."""
 
+import contextlib
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from efrac import MajorizationInstance
@@ -53,3 +56,20 @@ def majorization_instances(draw, n_max=4, bound=12):
     return MajorizationInstance(
         draw(rational_sequences(n, bound)), draw(rational_sequences(n, bound))
     )
+
+
+needs_int_str_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python has no int-to-str digit limit",
+)
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Run the block under CPython's int-to-str limit set to digits (0: none)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from efrac import cli
+from efrac import cli, sylvester
 from efrac.cli import render_report, run
+from tests.conftest import int_str_limit, needs_int_str_limit
 
 
 def invoke(capsys, *argv):
@@ -39,6 +40,15 @@ class TestPlainOutput:
         assert lines[0] == "optimum 41/42"
         assert lines[1] == "unique optimum = sylvester prefix"
         assert lines[2].startswith("nodes explored ")
+
+    def test_verify_seven_terms_under_the_default_depth_cap(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "--terms", "7")
+        assert code == 0
+        prod = sylvester(7).running_product
+        assert out.splitlines()[:2] == [
+            f"optimum {prod - 1}/{prod}",
+            "unique optimum = sylvester prefix",
+        ]
 
     def test_certify(self, capsys):
         code, out, _ = invoke(capsys, "certify", "--tuple", "2,3,9,42")
@@ -241,6 +251,22 @@ class TestStructuredOutput:
         assert result["terms"][6] == str(seventh)
         assert result["terms"][7] == str(seventh**2 - seventh + 1)
         assert isinstance(result["k"], int)
+
+    @needs_int_str_limit
+    def test_integers_past_the_int_str_digit_limit(self, capsys):
+        # the 15-term product has 22,158 bits, about 6,670 digits
+        with int_str_limit(4300):
+            code, out, err = invoke(
+                capsys, "sylvester", "--terms", "15", "--format", "structured"
+            )
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        prod = 1
+        for _ in range(15):
+            prod *= prod + 1
+        with int_str_limit(0):
+            assert result["running_product"] == str(prod)
+            assert result["shortfall"] == f"1/{prod}"
 
     def test_certificate_schema(self, capsys):
         _, out, _ = invoke(

@@ -20,7 +20,8 @@ from efrac import (
     sum_reciprocals,
     validate_tuple,
 )
-from tests.conftest import valid_tuples
+from efrac.rationals import _decimal
+from tests.conftest import int_str_limit, needs_int_str_limit, valid_tuples
 
 
 class TestParseRational:
@@ -62,6 +63,42 @@ class TestFormatRational:
     def test_round_trip_is_identity_on_reduced_form(self, p, q):
         value = Fraction(p, q)
         assert parse_rational(format_rational(value)) == value
+
+
+@needs_int_str_limit
+class TestDecimal:
+    """Decimal text for ints past CPython's int-to-str digit limit."""
+
+    @staticmethod
+    def samples(cap):
+        # both sides of the digit cap and of the bit-length guard 3 * cap
+        for base in (10**cap, 2 ** (3 * cap)):
+            for delta in (-2, -1, 0, 1, 2):
+                yield base + delta
+                yield -(base + delta)
+
+    @pytest.mark.parametrize("cap", [640, 4300])
+    def test_matches_str_under_any_cap(self, cap):
+        with int_str_limit(cap):
+            got = [_decimal(n) for n in self.samples(cap)]
+        with int_str_limit(0):
+            assert got == [str(n) for n in self.samples(cap)]
+
+    def test_two_hundred_thousand_bits(self):
+        n = (1 << 200_000) - 12345
+        with int_str_limit(4300):
+            text = _decimal(n)
+        with int_str_limit(0):
+            assert text == str(n)
+
+    def test_formats_use_it(self):
+        n = 10**5000 + 7
+        with int_str_limit(4300):
+            rational = format_rational(Fraction(1, n))
+            terms = format_terms((n, n))
+        with int_str_limit(0):
+            assert rational == f"1/{n}"
+            assert terms == f"{n},{n}"
 
 
 class TestTermsFormat:

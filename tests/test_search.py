@@ -1,5 +1,6 @@
 """Greedy construction and the exhaustive branch-and-bound enumerator."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -126,16 +127,39 @@ class TestBestTuples:
     @pytest.mark.parametrize(
         "k,target,nodes",
         [
-            (3, F(7, 10), 14),
+            (3, F(7, 10), 11),
             (3, F(11, 13), 7),
-            (4, F(7, 10), 197),
-            (4, F(9, 13), 227),
-            (4, F(12, 13), 47),
+            (4, F(7, 10), 40),
+            (4, F(9, 13), 90),
+            (4, F(12, 13), 46),
         ],
     )
     def test_pinned_node_counts(self, k, target, nodes):
         # a change to the explored node set must show up here as a diff
         assert best_tuples(k, target).nodes_explored == nodes
+
+    @pytest.mark.parametrize(
+        "k,target,optima",
+        [
+            (4, F(1, 13), [(14, 183, 33307, 1109322943)]),
+            (
+                5,
+                F(10, 17),
+                [(2, 12, 205, 41821, 1748954221), (3, 4, 205, 41821, 1748954221)],
+            ),
+            (
+                5,
+                F(8, 19),
+                [(3, 12, 229, 52213, 2726145157), (4, 6, 229, 52213, 2726145157)],
+            ),
+        ],
+    )
+    def test_small_gap_targets(self, k, target, optima):
+        # before the closing step the penultimate level scanned about q
+        # values of b here, for seconds per call
+        report = best_tuples(k, target)
+        assert [t.terms for t in report.optima] == optima
+        assert report.optimum_sum == sum_reciprocals(optima[0])
 
     @pytest.mark.parametrize(
         "target", [F(1), F(7, 10), F(5, 6), F(11, 13), F(99, 100)]
@@ -174,6 +198,75 @@ def brute_force_best(k, bmax, target=F(1)):
 
     rec(2, k, F(0), ())
     return best, sorted(optima)
+
+
+def linear_reference(k, target):
+    """Best k-term sums below target with the lo and hi bounds alone.
+
+    Integer arithmetic, starting from threshold 0, where a node whose
+    incumbent has not passed its prefix sum takes hi = lo; m = 2 scans b
+    linearly, with no closing step. The oracle for that step.
+    """
+    tn, td = target.numerator, target.denominator
+    best = [0, 1]
+    optima = []
+
+    def rec(pref, sn, sd):
+        m = k - len(pref)
+        lo = max(pref[-1] if pref else 2, td * sd // (tn * sd - sn * td) + 1)
+        b = lo
+        while True:
+            room = best[0] * sd - sn * best[1]
+            hi = lo if room <= 0 else m * best[1] * sd // room
+            if b > hi:
+                return
+            cn, cd = sn * b + sd, sd * b
+            if m > 1:
+                rec(pref + (b,), cn, cd)
+            elif cn * best[1] > best[0] * cd:
+                best[:] = [cn, cd]
+                optima[:] = [pref + (b,)]
+            elif cn * best[1] == best[0] * cd:
+                optima.append(pref + (b,))
+            b += 1
+
+    rec((), 0, 1)
+    return F(best[0], best[1]), sorted(optima)
+
+
+def reduced_targets(max_q, low=F(0)):
+    """Every reduced p/q in (0, 1] with q <= max_q and p/q >= low."""
+    return [
+        F(p, q)
+        for q in range(1, max_q + 1)
+        for p in range(1, q + 1)
+        if math.gcd(p, q) == 1 and F(p, q) >= low
+    ]
+
+
+class TestClosingStep:
+    """The m = 2 closing bound against the linear scan it replaces."""
+
+    def check(self, k, target):
+        report = best_tuples(k, target)
+        expected_sum, expected_optima = linear_reference(k, target)
+        assert report.optimum_sum == expected_sum, (k, target)
+        assert [t.terms for t in report.optima] == expected_optima, (k, target)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_target_with_small_denominator(self, k):
+        for target in reduced_targets(30):
+            self.check(k, target)
+
+    def test_benchmark_targets_at_four_terms(self):
+        targets = [t for t in reduced_targets(13, low=F(1, 3)) if t < 1]
+        assert len(targets) == 39
+        for target in targets:
+            self.check(4, target)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_unit_target(self, k):
+        self.check(k, F(1))
 
 
 class TestCompleteness:
@@ -225,6 +318,7 @@ class TestVerifyTheorem:
             (2, F(5, 6)),
             (3, F(41, 42)),
             (4, F(1805, 1806)),
+            (7, 1 - F(1, sylvester(7).running_product)),
         ],
     )
     def test_unique_optimum_is_the_sequence_prefix(self, k, expected):
@@ -234,8 +328,8 @@ class TestVerifyTheorem:
         assert [t.terms for t in report.optima] == [sylvester(k).terms]
 
     def test_pinned_node_counts(self):
-        nodes = [verify_theorem(k).nodes_explored for k in range(1, 7)]
-        assert nodes == [1, 2, 6, 29, 397, 29041]
+        nodes = [verify_theorem(k).nodes_explored for k in range(1, 8)]
+        assert nodes == [1, 2, 5, 15, 73, 957, 67915]
 
     def test_zero_terms(self):
         report = verify_theorem(0)
