@@ -17,28 +17,36 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   and hi is recomputed from the new t after each child returns. The node
   thus explores what it would after reseeding t with its greedy
   completion sum.
-* at m = 2 (the closing step) write the gap target - s = p/q in lowest
-  terms, x = pb - q and y = pc - q for the last two terms b <= c, and
-  G = target - t > 0. Multiplying 1/b + 1/c < p/q by p*b*c*q shows it
-  is equivalent to xy > q^2. With e = xy - q^2 >= 1 the leaf's deficit
-  is D = p/q - p/(q + x) - p/(q + y) = p*e*x / (q(q + x)(q(q + x) + e)),
-  which grows with e; the leaf reaches t exactly when D <= G.
-  - For x <= q: e >= 1 and q + x <= 2q give
-    D >= p*x / (2q^2(2q^2 + 1)), so D <= G forces
-    x <= X = floor(2G*q^2(2q^2 + 1)/p).
-  - For x > q: c >= b gives y >= x and e >= x^2 - q^2, so
-    D >= p(x - q)/(q(q + x)) >= p/(q(2q + 1)). When X < q,
-    G < p/(2q(2q^2 + 1)) <= p/(q(2q + 1)), so no such x reaches t.
-  Hence, when X < q, the node takes hi = min(hi, floor((q + X)/p)).
-  X shrinks as t grows, so it is recomputed with hi after each child.
-  D <= G keeps ties. Without this step the level scans b over a range
-  of about q values: after the unit-target prefix 2, 3, 7, 43, 1807
-  that is 3,263,442 values with one admissible pair.
+* at every node with m >= 2 (the deficit-floor cut) write the gap
+  target - s = p/q in lowest terms and G = target - t > 0. A next term
+  a leaves the child gap p'/q' = (pa - q)/(qa), unreduced, with
+  j = m - 1 terms still to place; the child reaches t only if some
+  j-term completion falls short of p'/q' by at most G. Let c be the
+  child's first term and C = 2jq'/p'.
+  - If c > C, the j terms sum to less than j/C = p'/(2q'), so the
+    deficit exceeds p'/(2q').
+  - If c <= C, the gap after c, (p'c - q')/(q'c), has numerator >= 1
+    and denominator <= 2jq'^2/p', so the deficit is at least
+    Phi_{j-1}(2jq'^2/p').
+  Here Phi_0(Q) = 1/Q and Phi_i(Q) = min(1/(2Q), Phi_{i-1}(2iQ^2)) bound
+  the deficit of any i-term underapproximation of a gap P/D with
+  D <= Q, by the same split at 2iD/P: a first term above it leaves a
+  deficit over P/(2D) >= 1/(2Q), one at or below it leaves a gap whose
+  denominator is at most 2iD^2/P <= 2iQ^2. Each Phi_i is nonincreasing
+  in Q, and reducing the child gap only lowers its Q, so the unreduced
+  q' is safe. The node skips a iff p'/(2q') > G and
+  Phi_{j-1}(2jq'^2/p') > G; both are strict, so ties survive.
+  The skipped a form one interval: p'/(2q') = p/(2q) - 1/(2a) grows
+  with a, and 2jq'^2/p' = 2jq^2a^2/(pa - q) is convex for pa > q, so the
+  second condition holds on a sublevel interval of it. A node therefore
+  tests its b and its hi: if both are cut it returns, and if only b is,
+  b jumps to the first uncut value, found by integer bisection. G
+  shrinks as t grows, so this is redone with hi after each child.
 
-All of this runs on integers: the prefix sum, the incumbent, the gap and
-the room t - s are carried as (numerator, denominator) pairs, lo and hi
-come from floor division and leaves are compared by cross
-multiplication. Only the gap at m = 2 is reduced to lowest terms.
+All of this runs on integers: the prefix sum, the incumbent, the gap, the
+room t - s and Q are carried as (numerator, denominator) pairs, lo and
+hi come from floor division and every comparison is a cross
+multiplication. Only the gap is reduced to lowest terms.
 
 Ties with the incumbent are collected, never discarded, so the search
 reports the full optimum set. The tree is split at depth
@@ -59,7 +67,6 @@ term, and g adds further positive terms to 1/g1.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -77,7 +84,7 @@ from .rationals import (
 )
 from .sylvester import sylvester
 
-DEFAULT_DEPTH_CAP = 8
+DEFAULT_DEPTH_CAP = 12
 DEFAULT_SPLIT_DEPTH = 2
 
 
@@ -117,6 +124,24 @@ def greedy_underapprox(target: Union[Fraction, int], k: int) -> DenominatorTuple
     return DenominatorTuple(tuple(terms))
 
 
+def _floor_exceeds(i: int, qn: int, qd: int, en: int, ed: int) -> bool:
+    """Whether Phi_i(qn/qd) > en/ed, stopping at the first min that fails."""
+    for level in range(i, 0, -1):
+        if qd * ed <= 2 * qn * en:
+            return False
+        qn, qd = 2 * level * qn * qn, qd * qd
+    return qd * ed > qn * en
+
+
+def _cut(p: int, q: int, a: int, j: int, en: int, ed: int) -> bool:
+    """Whether every j-term completion of the gap p/q - 1/a falls short of
+    it by more than en/ed."""
+    cn, cd = p * a - q, q * a
+    return cn * ed > 2 * cd * en and _floor_exceeds(
+        j - 1, 2 * j * cd * cd, cn, en, ed
+    )
+
+
 def _walk(
     k: int,
     target: Fraction,
@@ -147,22 +172,31 @@ def _walk(
             frontier.append((pref, Fraction(sn, sd)))
             return
         m = k - len(pref)
-        gn, gd = tn * sd - sn * td, td * sd
-        lo = max(pref[-1] if pref else 2, gd // gn + 1)
-        if m == 2:
-            g = gcd(gn, gd)
-            p, q = gn // g, gd // g
-            qq = q * q
+        p, q = tn * sd - sn * td, td * sd
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        lo = max(pref[-1] if pref else 2, q // p + 1)
         b = lo
         while True:
             room = bn * sd - sn * bd
             hi = lo if room <= 0 else (m * bd * sd) // room
-            if m == 2:
-                x_max = 2 * (tn * bd - bn * td) * qq * (2 * qq + 1) // (td * bd * p)
-                if x_max < q:
-                    hi = min(hi, (q + x_max) // p)
             if b > hi:
                 return
+            if m > 1:
+                en, ed = tn * bd - bn * td, td * bd
+                if _cut(p, q, b, m - 1, en, ed):
+                    if _cut(p, q, hi, m - 1, en, ed):
+                        return
+                    # the cut values form one interval that holds b but
+                    # not hi: bisect for its upper end
+                    c = hi
+                    while c - b > 1:
+                        mid = (b + c) // 2
+                        if _cut(p, q, mid, m - 1, en, ed):
+                            b = mid
+                        else:
+                            c = mid
+                    b = c
             nodes += 1
             cn, cd = sn * b + sd, sd * b
             if m == 1:
@@ -180,6 +214,13 @@ def _walk(
 
     rec(prefix, prefix_sum.numerator, prefix_sum.denominator)
     return Fraction(bn, bd), cands, frontier, nodes
+
+
+def _check_depth(k: int, depth_cap: int) -> None:
+    if k > depth_cap:
+        raise DepthCapExceeded(
+            f"k = {k} exceeds the exhaustive-search depth cap {depth_cap}"
+        )
 
 
 def best_tuples(
@@ -204,10 +245,7 @@ def best_tuples(
         raise ValueError(f"target must be in (0, 1], got {target}")
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
-    if k > depth_cap:
-        raise DepthCapExceeded(
-            f"k = {k} exceeds the exhaustive-search depth cap {depth_cap}"
-        )
+    _check_depth(k, depth_cap)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
@@ -242,6 +280,8 @@ def best_tuples(
     if workers == 1 or len(frontier) <= 1:
         results = list(map(job, prefixes, sums))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, prefixes, sums))
 
@@ -279,6 +319,7 @@ def verify_theorem(
     identity pins at 1 - 1/(running product)) and demands that the optimum
     set is exactly the Sylvester prefix at exactly that sum.
     """
+    _check_depth(k, depth_cap)
     prefix = sylvester(k)
     threshold = ONE - Fraction(1, prefix.running_product)
     report = best_tuples(

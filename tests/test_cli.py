@@ -9,6 +9,7 @@ import pytest
 
 from efrac import cli, sylvester
 from efrac.cli import render_report, run
+from efrac.search import DEFAULT_DEPTH_CAP
 from tests.conftest import int_str_limit, needs_int_str_limit
 
 
@@ -48,6 +49,16 @@ class TestPlainOutput:
         assert out.splitlines()[:2] == [
             f"optimum {prod - 1}/{prod}",
             "unique optimum = sylvester prefix",
+        ]
+
+    def test_verify_eight_terms_under_the_default_depth_cap(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "--terms", "8")
+        assert code == 0
+        prod = sylvester(8).running_product
+        assert out.splitlines() == [
+            f"optimum {prod - 1}/{prod}",
+            "unique optimum = sylvester prefix",
+            "nodes explored 465",
         ]
 
     def test_certify(self, capsys):
@@ -148,7 +159,9 @@ class TestErrorPaths:
         assert err.startswith("error:InvalidInput:")
 
     def test_depth_cap(self, capsys):
-        code, _, err = invoke(capsys, "search", "--terms", "9")
+        code, _, err = invoke(
+            capsys, "search", "--terms", str(DEFAULT_DEPTH_CAP + 1)
+        )
         assert code == 1
         assert err.startswith("error:DepthCapExceeded:")
 
@@ -335,6 +348,21 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "optimum 5/6"
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # only --workers > 1 needs it, and it costs a cold start ~10 ms
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, efrac.cli; "
+                "print('concurrent.futures.process' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_help_exits_zero(self):
         proc = subprocess.run(

@@ -15,7 +15,7 @@ from efrac import (
     validate_tuple,
     verify_theorem,
 )
-from efrac.search import _walk
+from efrac.search import DEFAULT_DEPTH_CAP, _floor_exceeds, _walk
 
 F = Fraction
 
@@ -97,7 +97,7 @@ class TestBestTuples:
 
     def test_depth_cap(self):
         with pytest.raises(DepthCapExceeded):
-            best_tuples(9)
+            best_tuples(DEFAULT_DEPTH_CAP + 1)
         report = best_tuples(5, depth_cap=5)
         assert report.matches_sylvester
 
@@ -127,12 +127,13 @@ class TestBestTuples:
     @pytest.mark.parametrize(
         "k,target,nodes",
         [
-            (3, F(7, 10), 11),
-            (3, F(11, 13), 7),
-            (4, F(7, 10), 40),
-            (4, F(9, 13), 90),
-            (4, F(12, 13), 46),
+            (3, F(7, 10), 13),
+            (3, F(11, 13), 4),
+            (4, F(7, 10), 29),
+            (4, F(9, 13), 34),
+            (4, F(12, 13), 30),
         ],
+        ids=["3-7/10", "3-11/13", "4-7/10", "4-9/13", "4-12/13"],
     )
     def test_pinned_node_counts(self, k, target, nodes):
         # a change to the explored node set must show up here as a diff
@@ -155,8 +156,8 @@ class TestBestTuples:
         ],
     )
     def test_small_gap_targets(self, k, target, optima):
-        # before the closing step the penultimate level scanned about q
-        # values of b here, for seconds per call
+        # without a cut above the leaves the penultimate level scans
+        # about q values of b here, for seconds per call
         report = best_tuples(k, target)
         assert [t.terms for t in report.optima] == optima
         assert report.optimum_sum == sum_reciprocals(optima[0])
@@ -204,8 +205,8 @@ def linear_reference(k, target):
     """Best k-term sums below target with the lo and hi bounds alone.
 
     Integer arithmetic, starting from threshold 0, where a node whose
-    incumbent has not passed its prefix sum takes hi = lo; m = 2 scans b
-    linearly, with no closing step. The oracle for that step.
+    incumbent has not passed its prefix sum takes hi = lo; every level
+    scans b linearly, with no deficit-floor cut. The oracle for that cut.
     """
     tn, td = target.numerator, target.denominator
     best = [0, 1]
@@ -245,7 +246,8 @@ def reduced_targets(max_q, low=F(0)):
 
 
 class TestClosingStep:
-    """The m = 2 closing bound against the linear scan it replaces."""
+    """The deficit-floor cut, which replaced the m = 2 closing step, against
+    the linear scan it replaces."""
 
     def check(self, k, target):
         report = best_tuples(k, target)
@@ -267,6 +269,17 @@ class TestClosingStep:
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_unit_target(self, k):
         self.check(k, F(1))
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_floor_never_exceeds_the_best_deficit(self, j):
+        # Phi_j(q) must stay at or below the deficit of the best j-term
+        # underapproximation of every gap with denominator q
+        for gap in reduced_targets(12):
+            best = linear_reference(j, gap)[0] if j else F(0)
+            deficit = gap - best
+            assert not _floor_exceeds(
+                j, gap.denominator, 1, deficit.numerator, deficit.denominator
+            ), (j, gap)
 
 
 class TestCompleteness:
@@ -319,6 +332,7 @@ class TestVerifyTheorem:
             (3, F(41, 42)),
             (4, F(1805, 1806)),
             (7, 1 - F(1, sylvester(7).running_product)),
+            (8, 1 - F(1, sylvester(8).running_product)),
         ],
     )
     def test_unique_optimum_is_the_sequence_prefix(self, k, expected):
@@ -328,8 +342,26 @@ class TestVerifyTheorem:
         assert [t.terms for t in report.optima] == [sylvester(k).terms]
 
     def test_pinned_node_counts(self):
-        nodes = [verify_theorem(k).nodes_explored for k in range(1, 8)]
-        assert nodes == [1, 2, 5, 15, 73, 957, 67915]
+        nodes = [verify_theorem(k).nodes_explored for k in range(1, 9)]
+        assert nodes == [1, 2, 6, 14, 41, 107, 308, 465]
+
+    def test_depth_cap_comes_before_the_sylvester_prefix(self, monkeypatch):
+        # the prefix grows doubly exponentially, so refusing a k above
+        # the cap must not build it first
+        built = []
+
+        def recording(k, *args):
+            built.append(k)
+            return sylvester(k, *args)
+
+        monkeypatch.setattr("efrac.search.sylvester", recording)
+        cap = DEFAULT_DEPTH_CAP
+        for k, depth_cap in ((cap + 1, cap), (40, cap), (65, cap), (6, 5)):
+            with pytest.raises(DepthCapExceeded):
+                verify_theorem(k, depth_cap=depth_cap)
+        assert built == []
+        assert verify_theorem(3).matches_sylvester
+        assert set(built) == {3}
 
     def test_zero_terms(self):
         report = verify_theorem(0)
@@ -348,3 +380,6 @@ class TestDeterminismAcrossWorkers:
         par = verify_theorem(4, workers=3)
         assert seq == par
         assert seq.nodes_explored == par.nodes_explored
+
+    def test_eight_terms_agree_across_workers(self):
+        assert verify_theorem(8) == verify_theorem(8, workers=2)
