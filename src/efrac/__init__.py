@@ -22,8 +22,6 @@ from .certificates import (
     Split,
     ValidationResult,
     build_certificate,
-    chain_from_ell,
-    largest_ell,
     quick_strict_check,
     validate_certificate,
 )
@@ -38,7 +36,6 @@ from .errors import (
     LengthMismatch,
     NotSorted,
     ParseError,
-    PreconditionProductDeficit,
     SumNotBelowOne,
     TermTooSmall,
     VerificationFailed,
@@ -99,7 +96,6 @@ __all__ = [
     "ONE",
     "OptimalityReport",
     "ParseError",
-    "PreconditionProductDeficit",
     "ProductDeficit",
     "PropositionCounterexample",
     "SearchProblem",
@@ -114,12 +110,10 @@ __all__ = [
     "best_tuples",
     "brute_force_prop_search",
     "build_certificate",
-    "chain_from_ell",
     "check_hypotheses",
     "format_rational",
     "format_terms",
     "greedy_underapprox",
-    "largest_ell",
     "majorizes",
     "normalize_scale",
     "normalized_tuple",

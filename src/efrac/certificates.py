@@ -22,9 +22,8 @@ for one tuple, mirroring the inductive argument:
 The builder works in integers only: one backward pass over suffix
 products finds ell and the deficit witness, and one forward pass over the
 tail builds the chain and both tail sums as numerators over the running
-products, compared by cross multiplication. :func:`quick_strict_check`,
-:func:`largest_ell` and :func:`chain_from_ell` compute the same pieces
-one at a time; they are the reference the builder is tested against.
+products, compared by cross multiplication. :func:`quick_strict_check`
+gives the product-deficit leaf on its own.
 
 :func:`validate_certificate` is an independent re-checker, also in
 integers. It shares no code with the builder: every product, the
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .errors import ChainViolated, PreconditionProductDeficit
+from .errors import ChainViolated
 from .rationals import DenominatorTuple, product, validate_tuple
 from .sylvester import sylvester
 
@@ -103,64 +102,6 @@ def quick_strict_check(
     if b_product < a_product:
         return ProductDeficit(b_product, a_product)
     return None
-
-
-def largest_ell(b: Union[DenominatorTuple, Sequence[int]]) -> int:
-    """Largest index j whose suffix product dominates the Sylvester one.
-
-    Requires the full product to dominate, so that j = 1 always qualifies
-    and the answer exists. A tuple with a product deficit is refused even
-    when some shorter suffix happens to dominate: the split construction
-    does not apply to it, the product-deficit route does.
-    """
-    tup = validate_tuple(b)
-    k = len(tup)
-    if k == 0:
-        raise ValueError("the split index is undefined for the empty tuple")
-    prefix = sylvester(k)
-    b_product = product(tup)
-    if b_product < prefix.running_product:
-        raise PreconditionProductDeficit(
-            f"product {b_product} is below the Sylvester product "
-            f"{prefix.running_product}; use the product-deficit route instead"
-        )
-    suffix_b = 1
-    suffix_a = 1
-    for j in range(k, 0, -1):
-        suffix_b *= tup[j - 1]
-        suffix_a *= prefix.terms[j - 1]
-        if suffix_b >= suffix_a:
-            return j
-    raise AssertionError("unreachable: the full product dominates at j = 1")
-
-
-def chain_from_ell(
-    b: Union[DenominatorTuple, Sequence[int]], ell: int
-) -> tuple[tuple[int, int], ...]:
-    """Products of terms ell..j on both sides, for j = ell .. k.
-
-    With ell chosen by :func:`largest_ell` every pair satisfies
-    b-side >= a-side; a violated pair means the caller holds a broken
-    invariant, which is reported as :class:`ChainViolated`.
-    """
-    tup = validate_tuple(b)
-    k = len(tup)
-    if not 1 <= ell <= k:
-        raise ValueError(f"ell must be in 1..{k}, got {ell}")
-    a_terms = sylvester(k).terms
-    pairs = []
-    run_b = 1
-    run_a = 1
-    for j in range(ell, k + 1):
-        run_b *= tup[j - 1]
-        run_a *= a_terms[j - 1]
-        if run_b < run_a:
-            raise ChainViolated(
-                f"prefix product through position {j} has b-side {run_b} "
-                f"below a-side {run_a}; ell = {ell} was not chosen maximal"
-            )
-        pairs.append((run_b, run_a))
-    return tuple(pairs)
 
 
 def build_certificate(

@@ -542,13 +542,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        for line in plain:
-            print(line)
-    elif cfg.output_format == "structured":
-        sys.stdout.write(rendered)
-    else:
-        for line in plain:
-            print(line)
+    try:
+        if cfg.output_format == "structured" and cfg.output_path is None:
+            sys.stdout.write(rendered)
+        else:
+            for line in plain:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(
+            f"error:WriteFailed: cannot write to stdout: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return 1
 
     if failure is not None:
         print(f"error:VerificationFailed: {failure}", file=sys.stderr)

@@ -63,12 +63,6 @@ class DepthCapExceeded(EfracError):
     code = "DepthCapExceeded"
 
 
-class PreconditionProductDeficit(EfracError):
-    """Pivot selection was called on a tuple whose product is already short."""
-
-    code = "PreconditionProductDeficit"
-
-
 class ChainViolated(EfracError):
     """An internally derived inequality failed; this always indicates a bug."""
 

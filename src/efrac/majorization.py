@@ -14,14 +14,27 @@ A seeded randomized searcher looks for counterexamples to the sum
 comparison; it is expected to find none when the hypotheses filter is on,
 and to find plenty when the filter is disabled, which is the sanity check
 that the hypotheses are doing real work.
+
+The hot paths carry an entry p/q as the integer pair (p, q) with q > 0:
+p/q < r/s exactly when p*s < r*q, and products and sums stay unreduced
+integer pairs. The random draw sorts its pairs by that cross
+multiplication with a stable reverse sort. Its output is nonincreasing in
+value, and a multiset has only one nonincreasing value sequence, so only
+pairs of equal value (2/4 and 1/2, which compare equal) can land in
+another order than a Fraction sort would give, and those become equal
+Fractions: the Fraction tuple is exactly ``sorted(..., reverse=True)``'s.
+Fractions are built only for instances a caller asks for, such as a
+reported counterexample.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -30,18 +43,33 @@ from .errors import (
     InvalidInstance,
     LengthMismatch,
 )
-from .rationals import ONE, ZERO
 
 # Symmetric sums enumerate all permutations, so the width must stay tiny.
 MAX_SYMMETRIC_VALUES = 8
 
+# Entries p/q as integer pairs (p, q) with q > 0; see the module docstring.
+Pairs = Sequence[tuple[int, int]]
+
+
+def _pairs(values: Iterable[Fraction]) -> list[tuple[int, int]]:
+    return [(v.numerator, v.denominator) for v in values]
+
+
+def _cmp(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """An integer with the sign of p/q - r/s, for a = (p, q) and b = (r, s)."""
+    return a[0] * b[1] - b[0] * a[1]
+
+
+_BY_VALUE = cmp_to_key(_cmp)
+
 
 def _as_sorted_positive(name: str, values: Iterable[Fraction]) -> tuple[Fraction, ...]:
     out = tuple(Fraction(v) for v in values)
+    pairs = _pairs(out)
     for i, v in enumerate(out):
-        if v <= 0:
+        if pairs[i][0] <= 0:
             raise InvalidInstance(f"{name}[{i}] = {v} is not positive")
-        if i and out[i - 1] < v:
+        if i and _cmp(pairs[i - 1], pairs[i]) < 0:
             raise InvalidInstance(
                 f"{name} must be nonincreasing: {name}[{i - 1}] = {out[i - 1]} "
                 f"is followed by {name}[{i}] = {v}"
@@ -102,23 +130,34 @@ class MuirheadInstance:
                 raise InvalidInstance(f"values[{i}] = {v} is not positive")
 
 
-def check_hypotheses(inst: MajorizationInstance) -> bool:
-    """True when every y prefix product is at most the x prefix product."""
-    px = ONE
-    py = ONE
-    for xi, yi in zip(inst.x, inst.y):
-        px *= xi
-        py *= yi
-        if py > px:
+def _dominated(xs: Pairs, ys: Pairs) -> bool:
+    # With x = p/q and y = r/t entrywise, py > px exactly when
+    # prod(r) * prod(q) > prod(p) * prod(t) over the prefix.
+    u = v = 1
+    for (p, q), (r, t) in zip(xs, ys):
+        u *= p * t
+        v *= r * q
+        if v > u:
             return False
     return True
 
 
+def _sum_signs(xs: Pairs, ys: Pairs) -> tuple[bool, bool]:
+    # sum(x) - sum(y) as num/den with den > 0, adding p/q - r/t per entry
+    num, den = 0, 1
+    for (p, q), (r, t) in zip(xs, ys):
+        num, den = num * q * t + (p * t - r * q) * den, den * q * t
+    return num >= 0, num == 0
+
+
+def check_hypotheses(inst: MajorizationInstance) -> bool:
+    """True when every y prefix product is at most the x prefix product."""
+    return _dominated(_pairs(inst.x), _pairs(inst.y))
+
+
 def sum_dominates(inst: MajorizationInstance) -> tuple[bool, bool]:
     """Return (sum(x) >= sum(y), sum(x) == sum(y)), both exact."""
-    sx = sum(inst.x, ZERO)
-    sy = sum(inst.y, ZERO)
-    return sx >= sy, sx == sy
+    return _sum_signs(_pairs(inst.x), _pairs(inst.y))
 
 
 def augment(inst: MajorizationInstance) -> MajorizationInstance:
@@ -133,17 +172,17 @@ def augment(inst: MajorizationInstance) -> MajorizationInstance:
     :class:`HypothesesViolated` when prefix domination does not hold,
     since then x_new could exceed x_n.
     """
-    if not check_hypotheses(inst):
+    xs, ys = _pairs(inst.x), _pairs(inst.y)
+    if not _dominated(xs, ys):
         raise HypothesesViolated(
             "prefix products of y must not exceed those of x before augmenting"
         )
-    px = ONE
-    py = ONE
-    for xi, yi in zip(inst.x, inst.y):
-        px *= xi
-        py *= yi
     tail = min(inst.x[-1], inst.y[-1])
-    return MajorizationInstance(inst.x + (tail * py / px,), inst.y + (tail,))
+    x_new = Fraction(
+        tail.numerator * math.prod(r for r, _ in ys) * math.prod(q for _, q in xs),
+        tail.denominator * math.prod(t for _, t in ys) * math.prod(p for p, _ in xs),
+    )
+    return MajorizationInstance(inst.x + (x_new,), inst.y + (tail,))
 
 
 def normalize_scale(inst: MajorizationInstance) -> MajorizationInstance:
@@ -154,10 +193,10 @@ def normalize_scale(inst: MajorizationInstance) -> MajorizationInstance:
     sum(x) - sum(y), and equality of total products. Sequences are
     nonincreasing, so the smallest entry is the last of one side.
     """
-    scale = 1 / min(inst.x[-1], inst.y[-1])
+    p, q = min(inst.x[-1], inst.y[-1]).as_integer_ratio()
     return MajorizationInstance(
-        tuple(v * scale for v in inst.x),
-        tuple(v * scale for v in inst.y),
+        tuple(Fraction(v.numerator * q, v.denominator * p) for v in inst.x),
+        tuple(Fraction(v.numerator * q, v.denominator * p) for v in inst.y),
     )
 
 
@@ -207,14 +246,17 @@ def symmetric_sum(alpha: Sequence[int], values: Sequence[Fraction]) -> Fraction:
         raise CapExceeded(
             f"symmetric sums are capped at {MAX_SYMMETRIC_VALUES} values, got {m}"
         )
-    vals = tuple(Fraction(v) for v in values)
-    total = ZERO
-    for perm in itertools.permutations(range(m)):
-        prod = ONE
-        for i, j in enumerate(perm):
-            prod *= vals[j] ** alpha[i]
-        total += prod
-    return total
+    # value**a = p**a / q**a for every exponent a of either sign, so with
+    # lo = min(0, alpha) and hi = max(0, alpha) each permutation's product
+    # is an integer over the one common denominator prod(p**-lo * q**hi).
+    pairs = _pairs(Fraction(v) for v in values)
+    lo, hi = min((0, *alpha)), max((0, *alpha))
+    cols = [tuple(p ** (a - lo) * q ** (hi - a) for p, q in pairs) for a in alpha]
+    total = sum(
+        math.prod(map(tuple.__getitem__, cols, perm))
+        for perm in itertools.permutations(range(m))
+    )
+    return Fraction(total, math.prod(p**-lo * q**hi for p, q in pairs))
 
 
 @dataclass(frozen=True)
@@ -233,19 +275,30 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def random_instance(rng: random.Random, n_max: int, value_bound: int) -> MajorizationInstance:
-    """Draw an instance with sorted entries p/q, 1 <= p, q <= value_bound."""
+def _draw(rng: random.Random, n_max: int, value_bound: int) -> tuple[Pairs, Pairs]:
+    """Sorted (p, q) pairs for x and y, 1 <= p, q <= value_bound."""
     n = rng.randint(1, n_max)
 
-    def draw() -> tuple[Fraction, ...]:
+    def side() -> Pairs:
         entries = [
-            Fraction(rng.randint(1, value_bound), rng.randint(1, value_bound))
+            (rng.randint(1, value_bound), rng.randint(1, value_bound))
             for _ in range(n)
         ]
-        entries.sort(reverse=True)
-        return tuple(entries)
+        entries.sort(key=_BY_VALUE, reverse=True)
+        return entries
 
-    return MajorizationInstance(draw(), draw())
+    return side(), side()
+
+
+def _instance(xs: Pairs, ys: Pairs) -> MajorizationInstance:
+    return MajorizationInstance(
+        tuple(Fraction(p, q) for p, q in xs), tuple(Fraction(p, q) for p, q in ys)
+    )
+
+
+def random_instance(rng: random.Random, n_max: int, value_bound: int) -> MajorizationInstance:
+    """Draw an instance with sorted entries p/q, 1 <= p, q <= value_bound."""
+    return _instance(*_draw(rng, n_max, value_bound))
 
 
 def brute_force_prop_search(
@@ -265,13 +318,15 @@ def brute_force_prop_search(
     own generator from (seed, trial).
     """
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        inst = random_instance(rng, n_max, value_bound)
-        if require_hypotheses and not check_hypotheses(inst):
+        xs, ys = _draw(_trial_rng(seed, trial), n_max, value_bound)
+        if require_hypotheses and not _dominated(xs, ys):
             continue
-        dominates, equal = sum_dominates(inst)
+        dominates, equal = _sum_signs(xs, ys)
         if not dominates:
-            return PropositionCounterexample(trial, inst, "sum_domination")
-        if equal and inst.x != inst.y:
-            return PropositionCounterexample(trial, inst, "strictness")
+            kind = "sum_domination"
+        elif equal and any(_cmp(a, b) for a, b in zip(xs, ys)):
+            kind = "strictness"
+        else:
+            continue
+        return PropositionCounterexample(trial, _instance(xs, ys), kind)
     return None

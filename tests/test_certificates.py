@@ -3,9 +3,9 @@
 Both sides work in integers, and they stay independent because they share
 no code: the builder makes one backward pass over suffix products and one
 forward pass over the tail, while the validator re-derives every claim from
-its own Sylvester table and its own sums over common denominators. The
-public reference functions (``quick_strict_check``, ``largest_ell``,
-``chain_from_ell``) serve as an oracle for the builder's nodes. Tampering
+its own Sylvester table and its own sums over common denominators.
+``quick_strict_check`` and the test-local ``largest_ell`` and
+``chain_from_ell`` serve as an oracle for the builder's nodes. Tampering
 tests flip single fields and expect the validator to name the broken claim.
 """
 
@@ -20,19 +20,66 @@ from efrac import (
     ChainViolated,
     Empty,
     InvalidTuple,
-    PreconditionProductDeficit,
     ProductDeficit,
     Split,
     build_certificate,
-    chain_from_ell,
-    largest_ell,
     product,
     quick_strict_check,
     sum_reciprocals,
     sylvester,
     validate_certificate,
+    validate_tuple,
 )
 from tests.conftest import valid_tuples
+
+
+def largest_ell(b):
+    """Largest index j whose suffix product dominates the Sylvester one.
+
+    Requires the full product to dominate, so that j = 1 always qualifies
+    and the answer exists. A tuple with a product deficit is refused even
+    when some shorter suffix happens to dominate: the split construction
+    does not apply to it, the product-deficit route does.
+    """
+    tup = validate_tuple(b)
+    k = len(tup)
+    if k == 0:
+        raise ValueError("the split index is undefined for the empty tuple")
+    prefix = sylvester(k)
+    if product(tup) < prefix.running_product:
+        raise ValueError("product deficit: use the product-deficit route instead")
+    suffix_b = 1
+    suffix_a = 1
+    for j in range(k, 0, -1):
+        suffix_b *= tup[j - 1]
+        suffix_a *= prefix.terms[j - 1]
+        if suffix_b >= suffix_a:
+            return j
+    raise AssertionError("unreachable: the full product dominates at j = 1")
+
+
+def chain_from_ell(b, ell):
+    """Products of terms ell..j on both sides, for j = ell .. k.
+
+    With ell chosen by :func:`largest_ell` every pair satisfies
+    b-side >= a-side; a violated pair means ell was not chosen maximal,
+    which is reported as :class:`ChainViolated`.
+    """
+    tup = validate_tuple(b)
+    k = len(tup)
+    if not 1 <= ell <= k:
+        raise ValueError(f"ell must be in 1..{k}, got {ell}")
+    a_terms = sylvester(k).terms
+    pairs = []
+    run_b = 1
+    run_a = 1
+    for j in range(ell, k + 1):
+        run_b *= tup[j - 1]
+        run_a *= a_terms[j - 1]
+        if run_b < run_a:
+            raise ChainViolated(f"b-side {run_b} below a-side {run_a} at {j}")
+        pairs.append((run_b, run_a))
+    return tuple(pairs)
 
 
 class TestQuickStrictCheck:
@@ -62,7 +109,7 @@ class TestLargestEll:
         assert largest_ell((2, 3, 8, 43)) == 4
 
     def test_deficit_tuples_are_refused(self):
-        with pytest.raises(PreconditionProductDeficit):
+        with pytest.raises(ValueError, match="product deficit"):
             largest_ell((2, 4, 5, 45))
 
 
@@ -90,7 +137,7 @@ class TestChainFromEll:
 
 
 def assert_matches_reference(terms):
-    """The builder's node agrees with the public reference functions."""
+    """The builder's node agrees with the reference functions."""
     node = build_certificate(terms).node
     deficit = quick_strict_check(terms)
     if deficit is not None:

@@ -1,6 +1,7 @@
 """Exit codes, error prefixes, text output, and the structured report."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -217,6 +218,28 @@ class TestErrorPaths:
         code, _, err = invoke(capsys, "verify", "--terms", "1")
         assert code == 2
         assert err.startswith("error:VerificationFailed:")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_closed_stdout_pipe(self, fmt):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "efrac", "verify", "--terms", "8"]
+                + ["--format", fmt],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:WriteFailed: "), lines
 
 
 class TestEnvironmentPrecedence:

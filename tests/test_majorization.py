@@ -7,7 +7,9 @@ searcher that is expected to come up empty, and through the exact
 integer-exponent Muirhead route on the multiplicative-to-additive bridge.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from efrac import (
     LengthMismatch,
     MajorizationInstance,
     MuirheadInstance,
+    PropositionCounterexample,
     augment,
     brute_force_prop_search,
     check_hypotheses,
@@ -267,3 +270,134 @@ class TestBruteForceSearch:
         rng = _trial_rng(9, 7)
         again = random_instance(rng, 5, 30)
         assert lone == again
+
+
+# --- the Fraction implementations the integer layer replaced ---------------
+#
+# Kept here as the oracle: every result of the integer layer must be == to
+# theirs, counterexamples included.
+
+
+def ref_random_instance(rng, n_max, value_bound):
+    n = rng.randint(1, n_max)
+
+    def draw():
+        entries = [
+            F(rng.randint(1, value_bound), rng.randint(1, value_bound))
+            for _ in range(n)
+        ]
+        entries.sort(reverse=True)
+        return tuple(entries)
+
+    return MajorizationInstance(draw(), draw())
+
+
+def ref_check_hypotheses(m):
+    px = py = F(1)
+    for xi, yi in zip(m.x, m.y):
+        px *= xi
+        py *= yi
+        if py > px:
+            return False
+    return True
+
+
+def ref_sum_dominates(m):
+    sx = sum(m.x, F(0))
+    sy = sum(m.y, F(0))
+    return sx >= sy, sx == sy
+
+
+def ref_brute_force_prop_search(
+    n_max, trials, value_bound, seed, require_hypotheses=True
+):
+    for trial in range(trials):
+        m = ref_random_instance(_trial_rng(seed, trial), n_max, value_bound)
+        if require_hypotheses and not ref_check_hypotheses(m):
+            continue
+        dominates, equal = ref_sum_dominates(m)
+        if not dominates:
+            return PropositionCounterexample(trial, m, "sum_domination")
+        if equal and m.x != m.y:
+            return PropositionCounterexample(trial, m, "strictness")
+    return None
+
+
+def ref_augment(m):
+    px = math.prod(m.x, start=F(1))
+    py = math.prod(m.y, start=F(1))
+    tail = min(m.x[-1], m.y[-1])
+    return MajorizationInstance(m.x + (tail * py / px,), m.y + (tail,))
+
+
+def ref_normalize_scale(m):
+    scale = 1 / min(m.x[-1], m.y[-1])
+    return MajorizationInstance(
+        tuple(v * scale for v in m.x), tuple(v * scale for v in m.y)
+    )
+
+
+def ref_symmetric_sum(alpha, values):
+    total = F(0)
+    for perm in itertools.permutations(range(len(values))):
+        prod = F(1)
+        for i, j in enumerate(perm):
+            prod *= F(values[j]) ** alpha[i]
+        total += prod
+    return total
+
+
+class TestIntegerLayerAgainstFractionReference:
+    @pytest.mark.parametrize("require_hypotheses", [True, False])
+    def test_search_results_are_identical(self, require_hypotheses):
+        found = 0
+        for seed in range(100):
+            for n_max in range(1, 6):
+                for bound in (2, 5, 30):
+                    args = (n_max, 25, bound, seed, require_hypotheses)
+                    got = brute_force_prop_search(*args)
+                    assert got == ref_brute_force_prop_search(*args), args
+                    found += got is not None
+        # the filter admits no counterexample; without it almost every
+        # run finds one, so the comparison covers the returned instances
+        assert found == 0 if require_hypotheses else found > 1400
+
+    def test_instances_and_their_checks_are_identical(self):
+        kept = 0
+        for seed in range(100):
+            for n_max in range(1, 6):
+                for bound in (2, 5, 30):
+                    rng, ref_rng = _trial_rng(seed, n_max), _trial_rng(seed, n_max)
+                    m = random_instance(rng, n_max, bound)
+                    assert m == ref_random_instance(ref_rng, n_max, bound)
+                    assert rng.getstate() == ref_rng.getstate()
+                    assert check_hypotheses(m) == ref_check_hypotheses(m), m
+                    assert sum_dominates(m) == ref_sum_dominates(m), m
+                    assert normalize_scale(m) == ref_normalize_scale(m), m
+                    if ref_check_hypotheses(m):
+                        kept += 1
+                        assert augment(m) == ref_augment(m), m
+        assert 300 < kept < 1500
+
+    @pytest.mark.parametrize(
+        "seed, trial, x, y",
+        [
+            (0, 1, "24/19,7/24", "21/19,3/4"),
+            (1, 0, "7/2,19/17,25/27,3/4", "6,28/29,13/17,6/13"),
+            (7, 3, "3/11,5/29,1/11", "22/9,1/3,3/25"),
+        ],
+    )
+    def test_pinned_fuzz_counterexamples(self, seed, trial, x, y):
+        # `ef fuzz` with its defaults: 1000 trials, n_max 5, bound 30
+        found = brute_force_prop_search(5, 1000, 30, seed, require_hypotheses=False)
+        expected = inst([F(v) for v in x.split(",")], [F(v) for v in y.split(",")])
+        assert found == PropositionCounterexample(trial, expected, "sum_domination")
+        assert brute_force_prop_search(5, 1000, 30, seed) is None
+
+    def test_symmetric_sums_with_negative_exponents(self):
+        rng = random.Random("symmetric")
+        for _ in range(400):
+            m = rng.randint(0, 4)
+            alpha = [rng.randint(-3, 3) for _ in range(m)]
+            values = [F(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(m)]
+            assert symmetric_sum(alpha, values) == ref_symmetric_sum(alpha, values)
