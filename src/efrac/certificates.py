@@ -26,10 +26,16 @@ products, compared by cross multiplication. :func:`quick_strict_check`
 gives the product-deficit leaf on its own.
 
 :func:`validate_certificate` is an independent re-checker, also in
-integers. It shares no code with the builder: every product, the
-maximality of ell, every chain pair, both sum comparisons, and the head
-recursion are re-derived from the stored tuple and the validator's own
-Sylvester table, with sums compared over common denominators.
+integers, that shares no code with the builder. It walks the head spine in
+one loop. Every head must equal a prefix of the top tuple, so the terms are
+checked once (a head need only hold ints) and the b-side prefix products
+built once. Each level re-derives its products, the maximality of ell,
+every chain pair and both sum comparisons (numerators over common
+denominators) against the validator's own Sylvester table for its length,
+cached per k: terms, suffix products and suffix sum numerators, O(k)
+integers. The three checks a Split makes after its head wait on a stack
+and run innermost first, so the order of failures and their ``head: ``
+prefixes are those of the recursion the loop replaces.
 """
 
 from __future__ import annotations
@@ -181,216 +187,189 @@ def _build(terms: tuple[int, ...]) -> InequalityCertificate:
 
 
 # --- independent re-checker ------------------------------------------------
-#
-# Everything below re-derives the certificate's claims from the stored
-# tuple with its own integer helpers (sums are integer numerators over
-# common denominators) and shares no code with the builder, so a bug in
-# the builder's route cannot hide here.
+# Nothing below is shared with the builder, so its bugs cannot hide here.
 
 
 # Results are frozen, so every successful check can share one instance.
 _VALID = ValidationResult(True)
 
 
-def _sylvester_table(
-    k: int,
-) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Sylvester terms a1..ak with their prefix products and sum numerators.
-
-    ``prods[i]`` is a1 * ... * ai and ``nums[i]`` is the numerator of
-    1/a1 + ... + 1/ai over ``prods[i]``, for i = 0..k. One table covers a
-    whole certificate: every head is a prefix of its parent's tuple.
-    """
-    terms = []
-    prods = [1]
+@lru_cache(maxsize=None)
+def _sylvester_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """Terms a1..ak; for j = 1..k+1, aj * ... * ak and the numerator of
+    1/aj + ... + 1/ak over it (index 0 unused), by one backward recurrence."""
+    terms, prod = [], 1
     for _ in range(k):
-        terms.append(prods[-1] + 1)
-        prods.append(prods[-1] * terms[-1])
-    nums = [_sum_numerator(terms[:i], prods[i]) for i in range(k + 1)]
-    return tuple(terms), prods, nums
+        terms.append(prod + 1)
+        prod *= prod + 1
+    suffix, nums = [1] * (k + 2), [0] * (k + 2)
+    for j in range(k, 0, -1):
+        a = terms[j - 1]
+        nums[j] = nums[j + 1] * a + suffix[j + 1]
+        suffix[j] = a * suffix[j + 1]
+    return tuple(terms), tuple(suffix), tuple(nums)
 
 
 def _sum_numerator(values: Sequence[int], common: int) -> int:
-    # common must be divisible by every value; callers pass the product.
-    # A plain loop beats sum() over a generator on tuples this short.
+    # common is the product; a plain loop beats sum() on tuples this short
     total = 0
     for v in values:
         total += common // v
     return total
 
 
-def _compare_sums(num_b: int, pb: int, num_a: int, pa: int) -> int:
-    """Sign of num_b/pb - num_a/pa, computed by cross multiplication."""
-    lhs = num_b * pa
-    rhs = num_a * pb
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
     """Re-derive every claim from the tuple alone; never raises.
 
     A failed check is reported as ``ValidationResult(False, reason)`` with
-    a short structured reason string. A field of the wrong type, such as a
-    ``None`` head, chain or term list, fails as ``malformed_certificate``.
+    a short structured reason string, prefixed by ``head: `` once per
+    Split above the level that failed. A field of the wrong type, such as
+    a ``None`` head, chain or term list, fails as ``malformed_certificate``.
     """
     try:
-        return _validate(cert, None)
+        depth, reason = _validate(cert)
     except Exception as exc:
         return ValidationResult(
             False, f"malformed_certificate: {type(exc).__name__}: {exc}"
         )
+    if reason is None:
+        return _VALID
+    return ValidationResult(False, "head: " * depth + reason)
 
 
-def _validate(
-    cert: InequalityCertificate,
-    table: Optional[tuple[tuple[int, ...], list[int], list[int]]],
-) -> ValidationResult:
+def _validate(cert: InequalityCertificate) -> tuple[int, Optional[str]]:
+    """One loop down the head spine (see the module docstring); returns the
+    failing level's depth (0 for ``cert``) and reason, or (0, None)."""
     terms = tuple(cert.terms)
-    k = len(terms)
-
+    prods = [1]  # prods[i] is b1 * ... * bi, multiplied as math.prod does
     for i, t in enumerate(terms):
         if not isinstance(t, int) or t < 2:
-            return ValidationResult(False, f"term_invalid: terms[{i}] = {t!r}")
+            return 0, f"term_invalid: terms[{i}] = {t!r}"
         if i and terms[i - 1] > t:
-            return ValidationResult(
-                False, f"terms_not_sorted: terms[{i - 1}] > terms[{i}]"
-            )
-    pb = math.prod(terms)
-    num_b = _sum_numerator(terms, pb)
-    if num_b >= pb:
-        return ValidationResult(False, "sum_not_below_one")
+            return 0, f"terms_not_sorted: terms[{i - 1}] > terms[{i}]"
+        prods.append(prods[-1] * t)
+    pending = []  # one entry per Split above the current level
+    level = cert
+    k = len(terms)
+    while True:
+        depth = len(pending)
+        pb = prods[k]
+        num_b = _sum_numerator(terms[:k], pb)
+        if num_b >= pb:
+            return depth, "sum_not_below_one"
+        a_terms, a_suffix, a_nums = _sylvester_table(k)
+        pa = a_suffix[1]
+        node = level.node
+        if not isinstance(node, Split):
+            break
 
-    # Heads are checked to be prefixes before recursing, so the top-level
-    # table is long enough at every level.
-    if table is None:
-        table = _sylvester_table(k)
-    a_terms, a_prods, a_nums = table
-    pa = a_prods[k]
-    node = cert.node
-
-    if isinstance(node, Empty):
-        if k != 0:
-            return ValidationResult(False, "empty_node_on_nonempty_tuple")
-        if cert.is_equality is not True:
-            return ValidationResult(False, "empty_certificate_must_claim_equality")
-        return _VALID
-
-    if isinstance(node, ProductDeficit):
-        if k == 0:
-            return ValidationResult(False, "product_deficit_on_empty_tuple")
-        if node.b_product != pb or node.a_product != pa:
-            return ValidationResult(
-                False,
-                f"recorded_products_mismatch: stored ({node.b_product}, "
-                f"{node.a_product}), recomputed ({pb}, {pa})",
-            )
-        if pb >= pa:
-            return ValidationResult(
-                False, f"no_deficit: product {pb} is not below {pa}"
-            )
-        if cert.is_equality:
-            return ValidationResult(False, "deficit_certificate_claims_equality")
-        if _compare_sums(num_b, pb, a_nums[k], pa) >= 0:
-            return ValidationResult(False, "final_inequality_not_strict")
-        return _VALID
-
-    if isinstance(node, Split):
         ell = node.ell
         if not isinstance(ell, int) or not 1 <= ell <= k:
-            return ValidationResult(False, f"ell_out_of_range: {ell!r}")
-
-        # suffix products of both sides for positions j .. k (index k + 1
-        # is the empty suffix)
-        suffix_b = [1] * (k + 2)
-        suffix_a = [1] * (k + 2)
-        for j in range(k, 0, -1):
-            suffix_b[j] = terms[j - 1] * suffix_b[j + 1]
-            suffix_a[j] = a_terms[j - 1] * suffix_a[j + 1]
-
-        if suffix_b[ell] < suffix_a[ell]:
-            return ValidationResult(
-                False,
-                f"suffix_not_dominating: at j = {ell}, {suffix_b[ell]} < "
-                f"{suffix_a[ell]}",
+            return depth, f"ell_out_of_range: {ell!r}"
+        suffix_b = 1  # terms j..k, for j = k down to ell
+        dominating = None  # the smallest j > ell whose suffix dominates
+        for j in range(k, ell, -1):
+            suffix_b = terms[j - 1] * suffix_b
+            if suffix_b >= a_suffix[j]:
+                dominating = (j, suffix_b)
+        witness_b = suffix_b
+        suffix_b = terms[ell - 1] * suffix_b
+        if suffix_b < a_suffix[ell]:
+            return depth, (
+                f"suffix_not_dominating: at j = {ell}, {suffix_b} < "
+                f"{a_suffix[ell]}"
             )
-        for j in range(ell + 1, k + 1):
-            if suffix_b[j] >= suffix_a[j]:
-                return ValidationResult(
-                    False,
-                    f"ell_not_maximal: suffix at j = {j} dominates "
-                    f"({suffix_b[j]} >= {suffix_a[j]})",
-                )
+        if dominating is not None:
+            j, dominating_b = dominating
+            return depth, (
+                f"ell_not_maximal: suffix at j = {j} dominates "
+                f"({dominating_b} >= {a_suffix[j]})"
+            )
+        witness = node.deficit_witness
         if ell == k:
-            if node.deficit_witness is not None:
-                return ValidationResult(
-                    False, "deficit_witness_present_for_full_split"
-                )
-        else:
-            expected = (suffix_b[ell + 1], suffix_a[ell + 1])
-            if node.deficit_witness != expected:
-                return ValidationResult(
-                    False,
-                    f"deficit_witness_mismatch: stored "
-                    f"{node.deficit_witness}, recomputed {expected}",
-                )
-
-        if len(node.chain) != k - ell + 1:
-            return ValidationResult(
-                False,
-                f"chain_length_mismatch: {len(node.chain)} pairs for "
-                f"positions {ell}..{k}",
+            if witness is not None:
+                return depth, "deficit_witness_present_for_full_split"
+        elif witness != (witness_b, a_suffix[ell + 1]):
+            return depth, (
+                f"deficit_witness_mismatch: stored {witness}, "
+                f"recomputed {(witness_b, a_suffix[ell + 1])}"
             )
-        run_b = 1
-        run_a = 1
-        for idx, j in enumerate(range(ell, k + 1)):
+
+        chain = node.chain
+        if len(chain) != k - ell + 1:
+            return depth, (
+                f"chain_length_mismatch: {len(chain)} pairs for "
+                f"positions {ell}..{k}"
+            )
+        run_b = run_a = 1
+        for j, pair in enumerate(chain, ell):
             run_b *= terms[j - 1]
             run_a *= a_terms[j - 1]
-            if node.chain[idx] != (run_b, run_a):
-                return ValidationResult(
-                    False,
+            if pair != (run_b, run_a):
+                return depth, (
                     f"chain_pair_mismatch: at j = {j}, stored "
-                    f"{node.chain[idx]}, recomputed ({run_b}, {run_a})",
+                    f"{pair}, recomputed ({run_b}, {run_a})"
                 )
             if run_b < run_a:
-                return ValidationResult(
-                    False, f"chain_inequality_violated: at j = {j}"
-                )
-
-        tail_b = terms[ell - 1 :]
-        tail_a = a_terms[ell - 1 : k]
-        if node.tail_equality != (tail_b == tail_a):
-            return ValidationResult(False, "tail_equality_flag_wrong")
-        tail_pb = suffix_b[ell]
-        tail_pa = suffix_a[ell]
-        tail_sign = _compare_sums(
-            _sum_numerator(tail_b, tail_pb),
-            tail_pb,
-            _sum_numerator(tail_a, tail_pa),
-            tail_pa,
-        )
-        if tail_sign > 0:
-            return ValidationResult(False, "tail_sum_comparison_violated")
-        if (tail_sign == 0) != node.tail_equality:
-            return ValidationResult(False, "tail_strictness_wrong")
+                return depth, f"chain_inequality_violated: at j = {j}"
+        tail_b = terms[ell - 1 : k]
+        if node.tail_equality != (tail_b == a_terms[ell - 1 :]):
+            return depth, "tail_equality_flag_wrong"
+        # both tail sums as numerators over their products, cross multiplied
+        lhs = _sum_numerator(tail_b, suffix_b) * a_suffix[ell]
+        rhs = a_nums[ell] * suffix_b
+        if lhs > rhs:
+            return depth, "tail_sum_comparison_violated"
+        if (lhs == rhs) != node.tail_equality:
+            return depth, "tail_strictness_wrong"
 
         head = node.head
-        if tuple(head.terms) != terms[: ell - 1]:
-            return ValidationResult(
-                False,
+        head_terms = tuple(head.terms)
+        if head_terms != terms[: ell - 1]:
+            return depth, (
                 f"head_tuple_mismatch: head covers {head.terms}, expected "
-                f"{terms[: ell - 1]}",
+                f"{terms[: ell - 1]}"
             )
-        head_result = _validate(head, table)
-        if not head_result.ok:
-            return ValidationResult(False, f"head: {head_result.reason}")
+        # equal by value to checked ints, so only the type is left to check
+        for i, t in enumerate(head_terms):
+            if not isinstance(t, int):
+                return depth + 1, f"term_invalid: terms[{i}] = {t!r}"
+        pending.append((level, node, head, num_b, pb, a_nums[1], pa))
+        level = head
+        k = ell - 1
 
-        if cert.is_equality != (node.tail_equality and head.is_equality):
-            return ValidationResult(False, "equality_flag_inconsistent")
-        final_sign = _compare_sums(num_b, pb, a_nums[k], pa)
-        if final_sign > 0:
-            return ValidationResult(False, "final_inequality_violated")
-        if (final_sign == 0) != cert.is_equality:
-            return ValidationResult(False, "final_strictness_wrong")
-        return _VALID
+    # the leaf at the bottom of the spine
+    if isinstance(node, Empty):
+        if k != 0:
+            return depth, "empty_node_on_nonempty_tuple"
+        if level.is_equality is not True:
+            return depth, "empty_certificate_must_claim_equality"
+    elif isinstance(node, ProductDeficit):
+        if k == 0:
+            return depth, "product_deficit_on_empty_tuple"
+        if node.b_product != pb or node.a_product != pa:
+            return depth, (
+                f"recorded_products_mismatch: stored ({node.b_product}, "
+                f"{node.a_product}), recomputed ({pb}, {pa})"
+            )
+        if pb >= pa:
+            return depth, f"no_deficit: product {pb} is not below {pa}"
+        if level.is_equality:
+            return depth, "deficit_certificate_claims_equality"
+        if num_b * pa >= a_nums[1] * pb:
+            return depth, "final_inequality_not_strict"
+    else:
+        return depth, f"unknown_node_kind: {type(node).__name__}"
 
-    return ValidationResult(False, f"unknown_node_kind: {type(node).__name__}")
+    # the checks each Split makes after its head, innermost first
+    while pending:
+        level, node, head, num_b, pb, num_a, pa = pending.pop()
+        depth = len(pending)
+        if level.is_equality != (node.tail_equality and head.is_equality):
+            return depth, "equality_flag_inconsistent"
+        lhs, rhs = num_b * pa, num_a * pb
+        if lhs > rhs:
+            return depth, "final_inequality_violated"
+        if (lhs == rhs) != level.is_equality:
+            return depth, "final_strictness_wrong"
+    return 0, None

@@ -27,6 +27,10 @@ class NotSorted(InvalidTuple):
     code = "NotSorted"
 
 
+class TermNotInteger(InvalidTuple):
+    code = "TermNotInteger"
+
+
 class TermTooSmall(InvalidTuple):
     code = "TermTooSmall"
 
@@ -36,7 +40,7 @@ class SumNotBelowOne(InvalidTuple):
 
 
 class CapExceeded(EfracError):
-    """A configured size cap (term count, permutation width) was exceeded."""
+    """A size cap (term count, permutation width, bit length) was exceeded."""
 
     code = "CapExceeded"
 

@@ -46,6 +46,7 @@ from .errors import (
 
 # Symmetric sums enumerate all permutations, so the width must stay tiny.
 MAX_SYMMETRIC_VALUES = 8
+MAX_SYMMETRIC_BITS = 1 << 14  # on their integers' size; see symmetric_sum
 
 # Entries p/q as integer pairs (p, q) with q > 0; see the module docstring.
 Pairs = Sequence[tuple[int, int]]
@@ -236,6 +237,8 @@ def symmetric_sum(alpha: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     With the all-zero exponent vector every permutation contributes 1,
     so the result is m factorial. Exponents may be negative; values must
     be nonzero for that to make sense and positive in the intended use.
+    More than MAX_SYMMETRIC_VALUES values, or integers that could exceed
+    MAX_SYMMETRIC_BITS bits, raise CapExceeded before any work is done.
     """
     if len(alpha) != len(values):
         raise LengthMismatch(
@@ -251,6 +254,10 @@ def symmetric_sum(alpha: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     # is an integer over the one common denominator prod(p**-lo * q**hi).
     pairs = _pairs(Fraction(v) for v in values)
     lo, hi = min((0, *alpha)), max((0, *alpha))
+    # Every factor, and the denominator per value, is under 2**((hi - lo) * width)
+    width = max((max(p.bit_length(), q.bit_length()) for p, q in pairs), default=0)
+    if m * (hi - lo) * width + math.factorial(m).bit_length() > MAX_SYMMETRIC_BITS:
+        raise CapExceeded(f"symmetric sums are capped at {MAX_SYMMETRIC_BITS} bits")
     cols = [tuple(p ** (a - lo) * q ** (hi - a) for p, q in pairs) for a in alpha]
     total = sum(
         math.prod(map(tuple.__getitem__, cols, perm))

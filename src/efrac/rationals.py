@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union, overload
 
-from .errors import NotSorted, ParseError, SumNotBelowOne, TermTooSmall
+from .errors import NotSorted, ParseError, SumNotBelowOne
+from .errors import TermNotInteger, TermTooSmall
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,9 +106,13 @@ class DenominatorTuple:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = tuple(self.terms)
         prev = None
-        for i, term in enumerate(self.terms):
+        for i, term in enumerate(terms):
+            if type(term) is not int:
+                if not isinstance(term, int):
+                    raise TermNotInteger(f"terms[{i}] = {term!r} is not an int")
+                terms = (*terms[:i], int(term), *terms[i + 1 :])  # as a plain int
             if term < 2:
                 raise TermTooSmall(
                     f"terms[{i}] = {term}: every denominator must be at least 2"
@@ -118,6 +123,7 @@ class DenominatorTuple:
                     f"is followed by terms[{i}] = {term}"
                 )
             prev = term
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -6,15 +6,18 @@ forward pass over the tail, while the validator re-derives every claim from
 its own Sylvester table and its own sums over common denominators.
 ``quick_strict_check`` and the test-local ``largest_ell`` and
 ``chain_from_ell`` serve as an oracle for the builder's nodes. Tampering
-tests flip single fields and expect the validator to name the broken claim.
+tests flip single fields and expect the validator to name the broken claim;
+the test-local ``reference_validate``, the recursive form of the
+validator's spine walk, is the oracle for the reason it names.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from efrac import (
     ChainViolated,
@@ -22,6 +25,7 @@ from efrac import (
     InvalidTuple,
     ProductDeficit,
     Split,
+    ValidationResult,
     build_certificate,
     product,
     quick_strict_check,
@@ -30,6 +34,7 @@ from efrac import (
     validate_certificate,
     validate_tuple,
 )
+from efrac.errors import TermNotInteger
 from tests.conftest import valid_tuples
 
 
@@ -400,6 +405,261 @@ class TestValidatorDefenceInDepth:
         cert = build_certificate((2, 3, 7, 43))
         bad = forge(cert, 3, rfloordiv={1806: -1})
         assert validate_certificate(bad).reason == "final_strictness_wrong"
+
+
+def _reference_table(k):
+    terms = []
+    prods = [1]
+    for _ in range(k):
+        terms.append(prods[-1] + 1)
+        prods.append(prods[-1] * terms[-1])
+    nums = [_reference_numerator(terms[:i], prods[i]) for i in range(k + 1)]
+    return tuple(terms), prods, nums
+
+
+def _reference_numerator(values, common):
+    return sum(common // v for v in values)
+
+
+def _reference_sign(num_b, pb, num_a, pa):
+    lhs = num_b * pa
+    rhs = num_a * pb
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def fail(reason):
+    return ValidationResult(False, reason)
+
+
+def reference_validate(cert):
+    """The validator as a recursion down the head spine, one call per level.
+
+    Each level re-checks its own terms and rebuilds its own products and
+    sums, so it is slow, but every reason is read off the level it names.
+    """
+    try:
+        return _reference_level(cert, None)
+    except Exception as exc:
+        return ValidationResult(
+            False, f"malformed_certificate: {type(exc).__name__}: {exc}"
+        )
+
+
+def _reference_level(cert, table):
+    terms = tuple(cert.terms)
+    k = len(terms)
+    for i, t in enumerate(terms):
+        if not isinstance(t, int) or t < 2:
+            return fail(f"term_invalid: terms[{i}] = {t!r}")
+        if i and terms[i - 1] > t:
+            return fail(f"terms_not_sorted: terms[{i - 1}] > terms[{i}]")
+    pb = math.prod(terms)
+    num_b = _reference_numerator(terms, pb)
+    if num_b >= pb:
+        return fail("sum_not_below_one")
+    if table is None:
+        table = _reference_table(k)
+    a_terms, a_prods, a_nums = table
+    pa = a_prods[k]
+    node = cert.node
+
+    if isinstance(node, Empty):
+        if k != 0:
+            return fail("empty_node_on_nonempty_tuple")
+        if cert.is_equality is not True:
+            return fail("empty_certificate_must_claim_equality")
+        return ValidationResult(True)
+
+    if isinstance(node, ProductDeficit):
+        if k == 0:
+            return fail("product_deficit_on_empty_tuple")
+        if node.b_product != pb or node.a_product != pa:
+            return fail(
+                f"recorded_products_mismatch: stored ({node.b_product}, "
+                f"{node.a_product}), recomputed ({pb}, {pa})"
+            )
+        if pb >= pa:
+            return fail(f"no_deficit: product {pb} is not below {pa}")
+        if cert.is_equality:
+            return fail("deficit_certificate_claims_equality")
+        if _reference_sign(num_b, pb, a_nums[k], pa) >= 0:
+            return fail("final_inequality_not_strict")
+        return ValidationResult(True)
+
+    if not isinstance(node, Split):
+        return fail(f"unknown_node_kind: {type(node).__name__}")
+    ell = node.ell
+    if not isinstance(ell, int) or not 1 <= ell <= k:
+        return fail(f"ell_out_of_range: {ell!r}")
+    suffix_b = [1] * (k + 2)
+    suffix_a = [1] * (k + 2)
+    for j in range(k, 0, -1):
+        suffix_b[j] = terms[j - 1] * suffix_b[j + 1]
+        suffix_a[j] = a_terms[j - 1] * suffix_a[j + 1]
+    if suffix_b[ell] < suffix_a[ell]:
+        return fail(
+            f"suffix_not_dominating: at j = {ell}, {suffix_b[ell]} < "
+            f"{suffix_a[ell]}"
+        )
+    for j in range(ell + 1, k + 1):
+        if suffix_b[j] >= suffix_a[j]:
+            return fail(
+                f"ell_not_maximal: suffix at j = {j} dominates "
+                f"({suffix_b[j]} >= {suffix_a[j]})"
+            )
+    if ell == k:
+        if node.deficit_witness is not None:
+            return fail("deficit_witness_present_for_full_split")
+    else:
+        expected = (suffix_b[ell + 1], suffix_a[ell + 1])
+        if node.deficit_witness != expected:
+            return fail(
+                f"deficit_witness_mismatch: stored "
+                f"{node.deficit_witness}, recomputed {expected}"
+            )
+    if len(node.chain) != k - ell + 1:
+        return fail(
+            f"chain_length_mismatch: {len(node.chain)} pairs for "
+            f"positions {ell}..{k}"
+        )
+    run_b = run_a = 1
+    for idx, j in enumerate(range(ell, k + 1)):
+        run_b *= terms[j - 1]
+        run_a *= a_terms[j - 1]
+        if node.chain[idx] != (run_b, run_a):
+            return fail(
+                f"chain_pair_mismatch: at j = {j}, stored "
+                f"{node.chain[idx]}, recomputed ({run_b}, {run_a})"
+            )
+        if run_b < run_a:
+            return fail(f"chain_inequality_violated: at j = {j}")
+    tail_b = terms[ell - 1 :]
+    tail_a = a_terms[ell - 1 : k]
+    if node.tail_equality != (tail_b == tail_a):
+        return fail("tail_equality_flag_wrong")
+    tail_sign = _reference_sign(
+        _reference_numerator(tail_b, suffix_b[ell]),
+        suffix_b[ell],
+        _reference_numerator(tail_a, suffix_a[ell]),
+        suffix_a[ell],
+    )
+    if tail_sign > 0:
+        return fail("tail_sum_comparison_violated")
+    if (tail_sign == 0) != node.tail_equality:
+        return fail("tail_strictness_wrong")
+    head = node.head
+    if tuple(head.terms) != terms[: ell - 1]:
+        return fail(
+            f"head_tuple_mismatch: head covers {head.terms}, expected "
+            f"{terms[: ell - 1]}"
+        )
+    head_result = _reference_level(head, table)
+    if not head_result.ok:
+        return fail(f"head: {head_result.reason}")
+    if cert.is_equality != (node.tail_equality and head.is_equality):
+        return fail("equality_flag_inconsistent")
+    final_sign = _reference_sign(num_b, pb, a_nums[k], pa)
+    if final_sign > 0:
+        return fail("final_inequality_violated")
+    if (final_sign == 0) != cert.is_equality:
+        return fail("final_strictness_wrong")
+    return ValidationResult(True)
+
+
+def _bumped(pair, delta):
+    return None if pair is None else (pair[0] + delta, pair[1])
+
+
+@st.composite
+def spine_tampers(draw):
+    """A built certificate with one field changed at a random spine depth.
+
+    Terms stay plain ints or floats: a head is read through the top
+    tuple's prefix, so int subclasses with lying arithmetic are left to
+    TestValidatorDefenceInDepth, which forges the top tuple.
+    """
+    spine = [build_certificate(draw(valid_tuples(max_len=6)))]
+    while isinstance(spine[-1].node, Split):
+        spine.append(spine[-1].node.head)
+    depth = draw(st.integers(0, len(spine) - 1))
+    level = spine[depth]
+    node = level.node
+    fields = ["is_equality", "terms", "float_terms", "node"]
+    if isinstance(node, Split):
+        fields += ["ell", "chain", "deficit_witness", "tail_equality", "head"]
+    field = draw(st.sampled_from(fields))
+    delta = draw(st.sampled_from((-1, 1)))
+    small = st.integers(0, 2000)
+    if field == "is_equality":
+        level = replace(level, is_equality=not level.is_equality)
+    elif field == "terms" and level.terms:
+        i = draw(st.integers(0, len(level.terms) - 1))
+        terms = list(level.terms)
+        terms[i] += delta
+        level = replace(level, terms=tuple(terms))
+    elif field == "float_terms":
+        level = replace(level, terms=tuple(float(t) for t in level.terms))
+    elif field == "node":
+        level = replace(level, node=draw(st.one_of(
+            st.just(Empty()), st.builds(ProductDeficit, small, small)
+        )))
+    elif field == "ell":
+        ell = draw(st.one_of(st.integers(-1, len(level.terms) + 1), st.none()))
+        level = replace(level, node=replace(node, ell=ell))
+    elif field == "chain":
+        i = draw(st.integers(0, len(node.chain) - 1))
+        chain = list(node.chain)
+        chain[i] = _bumped(chain[i], delta)
+        level = replace(level, node=replace(node, chain=tuple(chain)))
+    elif field == "deficit_witness":
+        witness = draw(st.sampled_from((None, _bumped(node.deficit_witness, delta))))
+        level = replace(level, node=replace(node, deficit_witness=witness))
+    elif field == "tail_equality":
+        level = replace(level, node=replace(node, tail_equality=not node.tail_equality))
+    elif field == "head":
+        head = build_certificate(draw(valid_tuples(max_len=3)))
+        level = replace(level, node=replace(node, head=head))
+    for parent in reversed(spine[:depth]):
+        level = replace(parent, node=replace(parent.node, head=level))
+    return level
+
+
+class TestSpineWalk:
+    def test_float_head_is_rejected_inside_the_head(self):
+        cert = build_certificate((2, 3, 9, 42))
+        head = replace(cert.node.head, terms=(2.0, 3))
+        bad = replace(cert, node=replace(cert.node, head=head))
+        assert validate_certificate(bad).reason == "head: term_invalid: terms[0] = 2.0"
+
+    def test_the_heads_reason_wins_over_the_outer_flag(self):
+        # the top's own flipped flag would give equality_flag_inconsistent
+        cert = build_certificate((2, 3, 7, 43))
+        head = cert.node.head
+        outer = replace(cert, is_equality=False)
+        assert validate_certificate(outer).reason == "equality_flag_inconsistent"
+        bad_chain = replace(head, node=replace(head.node, chain=((8, 7),)))
+        bad = replace(outer, node=replace(cert.node, head=bad_chain))
+        assert validate_certificate(bad).reason == (
+            "head: chain_pair_mismatch: at j = 3, stored (8, 7), recomputed (7, 7)"
+        )
+        bad_flag = replace(head, is_equality=False)
+        bad = replace(outer, node=replace(cert.node, head=bad_flag))
+        assert validate_certificate(bad).reason == "head: equality_flag_inconsistent"
+
+    @given(spine_tampers())
+    @settings(max_examples=400)
+    def test_matches_the_recursive_reference(self, cert):
+        assert validate_certificate(cert) == reference_validate(cert)
+
+
+class TestNonIntegerTerms:
+    @pytest.mark.parametrize("bad", [3.0, Fraction(5, 2), "3"])
+    def test_rejected_before_the_builder_cache(self, bad):
+        with pytest.raises(TermNotInteger):
+            build_certificate((bad, 4))
+        cert = build_certificate((3, 4))
+        assert [type(t) for t in cert.terms] == [int, int]
+        assert validate_certificate(cert).ok
 
 
 class TestCrossModuleAgreement:

@@ -182,6 +182,15 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:LengthMismatch:")
 
+    def test_muirhead_bit_budget_ends_at_once(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            "muirhead", "--alpha", "2000000", "--alpha-prime", "2000000",
+            "--values", "3/2",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:CapExceeded:")
+
     def test_missing_required_flag(self, capsys):
         code, _, err = invoke(capsys, "search")
         assert code == 1

@@ -33,7 +33,7 @@ from efrac import (
     sum_dominates,
     symmetric_sum,
 )
-from efrac.majorization import _trial_rng
+from efrac.majorization import MAX_SYMMETRIC_BITS, _trial_rng
 from tests.conftest import majorization_instances
 
 F = Fraction
@@ -201,6 +201,15 @@ class TestSymmetricSum:
     def test_width_cap(self):
         with pytest.raises(CapExceeded):
             symmetric_sum((1,) * 9, (F(1),) * 9)
+
+    def test_bit_budget_is_checked_before_any_power(self):
+        # one value 3/2 (2 bits) and exponent a: the bound is 2 * a + 1 bits
+        a = (MAX_SYMMETRIC_BITS - 1) // 2
+        assert symmetric_sum((a,), (F(3, 2),)) == F(3**a, 2**a)
+        with pytest.raises(CapExceeded, match="bits"):
+            symmetric_sum((a + 1,), (F(3, 2),))
+        with pytest.raises(CapExceeded):
+            symmetric_sum((10**12, 0), (F(3, 2), F(5)))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -20,6 +20,7 @@ from efrac import (
     sum_reciprocals,
     validate_tuple,
 )
+from efrac.errors import TermNotInteger
 from efrac.rationals import _decimal
 from tests.conftest import int_str_limit, needs_int_str_limit, valid_tuples
 
@@ -146,6 +147,22 @@ class TestDenominatorTuple:
 
     def test_repeats_are_fine(self):
         assert DenominatorTuple((3, 3, 4)).terms == (3, 3, 4)
+
+    @pytest.mark.parametrize("bad", [3.0, Fraction(5, 2), Fraction(3), "3"])
+    def test_rejects_terms_that_are_not_ints(self, bad):
+        with pytest.raises(TermNotInteger, match=r"terms\[0\] = "):
+            DenominatorTuple((bad, 4))
+        with pytest.raises(TermNotInteger):
+            validate_tuple((bad, 4))
+        assert TermNotInteger.code == "TermNotInteger"
+
+    def test_int_subclasses_are_stored_as_plain_ints(self):
+        class Tagged(int):
+            pass
+
+        tup = DenominatorTuple((Tagged(3), 4, Tagged(5)))
+        assert tup.terms == (3, 4, 5)
+        assert [type(t) for t in tup.terms] == [int, int, int]
 
 
 class TestAggregates:
