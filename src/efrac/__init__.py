@@ -13,33 +13,20 @@ exact Muirhead checker (:mod:`efrac.majorization`), greedy and
 exhaustive optimality search (:mod:`efrac.search`), recursive proof
 certificates with an independent validator (:mod:`efrac.certificates`),
 and the ``ef`` command line (:mod:`efrac.cli`).
+
+The top level exports what the command line, the demos and the benchmark
+use. The exception classes live in :mod:`efrac.errors`; only their base
+:class:`EfracError` is exported here.
 """
 
 from .certificates import (
-    Empty,
-    InequalityCertificate,
     ProductDeficit,
     Split,
-    ValidationResult,
     build_certificate,
     quick_strict_check,
     validate_certificate,
 )
-from .errors import (
-    CapExceeded,
-    ChainViolated,
-    DepthCapExceeded,
-    EfracError,
-    HypothesesViolated,
-    InvalidInstance,
-    InvalidTuple,
-    LengthMismatch,
-    NotSorted,
-    ParseError,
-    SumNotBelowOne,
-    TermTooSmall,
-    VerificationFailed,
-)
+from .errors import EfracError
 from .majorization import (
     MajorizationInstance,
     MuirheadInstance,
@@ -49,77 +36,40 @@ from .majorization import (
     check_hypotheses,
     majorizes,
     normalize_scale,
-    prefix_dominates,
     random_instance,
     sum_dominates,
     symmetric_sum,
 )
 from .rationals import (
-    ONE,
-    ZERO,
     DenominatorTuple,
     format_rational,
-    format_terms,
-    normalized_tuple,
-    parse_rational,
-    parse_terms,
     product,
     sum_reciprocals,
     validate_tuple,
 )
-from .search import (
-    OptimalityReport,
-    SearchProblem,
-    best_tuples,
-    greedy_underapprox,
-    verify_theorem,
-)
-from .sylvester import SylvesterPrefix, shortfall_identity_check, sylvester
+from .search import OptimalityReport, best_tuples, greedy_underapprox, verify_theorem
+from .sylvester import shortfall_identity_check, sylvester
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded",
-    "ChainViolated",
     "DenominatorTuple",
-    "DepthCapExceeded",
     "EfracError",
-    "Empty",
-    "HypothesesViolated",
-    "InequalityCertificate",
-    "InvalidInstance",
-    "InvalidTuple",
-    "LengthMismatch",
     "MajorizationInstance",
     "MuirheadInstance",
-    "NotSorted",
-    "ONE",
     "OptimalityReport",
-    "ParseError",
     "ProductDeficit",
     "PropositionCounterexample",
-    "SearchProblem",
     "Split",
-    "SumNotBelowOne",
-    "SylvesterPrefix",
-    "TermTooSmall",
-    "ValidationResult",
-    "VerificationFailed",
-    "ZERO",
     "augment",
     "best_tuples",
     "brute_force_prop_search",
     "build_certificate",
     "check_hypotheses",
     "format_rational",
-    "format_terms",
     "greedy_underapprox",
     "majorizes",
     "normalize_scale",
-    "normalized_tuple",
-    "parse_rational",
-    "parse_terms",
-    "prefix_dominates",
     "product",
     "quick_strict_check",
     "random_instance",

@@ -118,20 +118,14 @@ def build_certificate(
     return _build(tup.terms)
 
 
-@lru_cache(maxsize=None)
-def _sylvester_prefix(k: int) -> tuple[tuple[int, ...], int]:
-    """The builder's (terms, product) table, one entry per length."""
-    prefix = sylvester(k)
-    return prefix.terms, prefix.running_product
-
-
 @lru_cache(maxsize=1 << 16)
 def _build(terms: tuple[int, ...]) -> InequalityCertificate:
     k = len(terms)
     if k == 0:
         return InequalityCertificate((), Empty(), True)
 
-    a_terms, a_product = _sylvester_prefix(k)
+    prefix = sylvester(k)
+    a_terms, a_product = prefix.terms, prefix.running_product
     b_product = math.prod(terms)
     if b_product < a_product:
         return InequalityCertificate(

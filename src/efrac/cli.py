@@ -22,9 +22,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .certificates import (
     Empty,
@@ -47,12 +46,11 @@ from .majorization import (
 from .rationals import (
     ONE,
     _decimal,
+    format_int_list,
     format_rational,
-    format_terms,
     parse_int_list,
     parse_rational,
     parse_rational_list,
-    parse_terms,
     product,
     sum_reciprocals,
     validate_tuple,
@@ -66,23 +64,6 @@ from .search import (
 from .sylvester import DEFAULT_TERM_CAP, sylvester
 
 ENV_MAX_TERMS = "EF_MAX_TERMS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings shared by the subcommands.
-
-    ``max_sylvester_terms`` defaults to 64 and may be overridden by the
-    ``EF_MAX_TERMS`` environment variable; an explicit flag wins over the
-    environment.
-    """
-
-    max_sylvester_terms: int = DEFAULT_TERM_CAP
-    max_search_depth: int = DEFAULT_DEPTH_CAP
-    workers: int = 1
-    output_format: str = "plain"
-    output_path: Optional[str] = None
-    seed: int = 0
 
 
 class _UsageError(Exception):
@@ -125,6 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the structured report to PATH and a summary to stdout",
     )
+    searching = argparse.ArgumentParser(add_help=False)
+    searching.add_argument("--workers", type=_positive_int, default=1, metavar="N")
+    searching.add_argument(
+        "--max-depth",
+        type=_nonneg_int,
+        default=None,
+        help=f"search depth cap (default {DEFAULT_DEPTH_CAP})",
+    )
 
     parser = _Parser(
         prog="ef",
@@ -158,27 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "search",
-        parents=[common],
+        parents=[common, searching],
         help="exhaustively enumerate the best K-term tuples below a target",
     )
     p.add_argument("--terms", type=_nonneg_int, required=True, metavar="K")
     p.add_argument("--target", default="1", metavar="P/Q")
-    p.add_argument("--workers", type=_positive_int, default=1, metavar="N")
-    p.add_argument(
-        "--max-depth",
-        type=_nonneg_int,
-        default=None,
-        help=f"search depth cap (default {DEFAULT_DEPTH_CAP})",
-    )
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, searching],
         help="confirm the K-term optimum is exactly the Sylvester prefix",
     )
     p.add_argument("--terms", type=_nonneg_int, required=True, metavar="K")
-    p.add_argument("--workers", type=_positive_int, default=1, metavar="N")
-    p.add_argument("--max-depth", type=_nonneg_int, default=None)
 
     p = sub.add_parser(
         "prop-check",
@@ -215,37 +195,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    max_terms = DEFAULT_TERM_CAP
+def _resolve_caps(args: argparse.Namespace) -> None:
+    """Set ``args.max_terms`` and ``args.max_depth`` to the caps in force.
+
+    ``--max-terms`` wins over ``EF_MAX_TERMS``, which wins over the default
+    of 64; the variable is validated even when the flag overrides it, so a
+    malformed value is always reported.
+    """
     env = os.environ.get(ENV_MAX_TERMS)
-    if env is not None:
-        if not env.isdigit():
-            raise ParseError(
-                f"{ENV_MAX_TERMS} must be a nonnegative integer, got {env!r}"
-            )
-        max_terms = int(env)
-    if getattr(args, "max_terms", None) is not None:
-        max_terms = args.max_terms
-    max_depth = getattr(args, "max_depth", None)
-    if max_depth is None:
-        max_depth = DEFAULT_DEPTH_CAP
-    return RunConfig(
-        max_sylvester_terms=max_terms,
-        max_search_depth=max_depth,
-        workers=getattr(args, "workers", 1),
-        output_format=args.format,
-        output_path=args.output,
-        seed=getattr(args, "seed", 0),
-    )
+    if env is not None and not env.isdigit():
+        raise ParseError(
+            f"{ENV_MAX_TERMS} must be a nonnegative integer, got {env!r}"
+        )
+    if getattr(args, "max_terms", None) is None:
+        args.max_terms = DEFAULT_TERM_CAP if env is None else int(env)
+    if getattr(args, "max_depth", None) is None:
+        args.max_depth = DEFAULT_DEPTH_CAP
 
 
-def _config_dict(cfg: RunConfig, command: str) -> dict[str, Any]:
+def _config_dict(args: argparse.Namespace) -> dict[str, Any]:
     out: dict[str, Any] = {
-        "max_search_depth": cfg.max_search_depth,
-        "max_sylvester_terms": cfg.max_sylvester_terms,
+        "max_search_depth": args.max_depth,
+        "max_sylvester_terms": args.max_terms,
     }
-    if command == "fuzz":
-        out["seed"] = cfg.seed
+    if args.command == "fuzz":
+        out["seed"] = args.seed
     return out
 
 
@@ -298,14 +272,8 @@ def _search_result(report: OptimalityReport) -> dict[str, Any]:
     }
 
 
-Handler = Callable[
-    [RunConfig, argparse.Namespace],
-    tuple[dict[str, Any], list[str], Optional[str]],
-]
-
-
-def _cmd_sylvester(cfg, args):
-    prefix = sylvester(args.terms, cap=cfg.max_sylvester_terms)
+def _cmd_sylvester(args):
+    prefix = sylvester(args.terms, cap=args.max_terms)
     total = sum_reciprocals(prefix.terms)
     result = {
         "k": prefix.k,
@@ -314,11 +282,11 @@ def _cmd_sylvester(cfg, args):
         "reciprocal_sum": format_rational(total),
         "shortfall": format_rational(ONE - total),
     }
-    return result, [format_terms(prefix.terms)], None
+    return result, [format_int_list(prefix.terms)], None
 
 
-def _cmd_sum(cfg, args):
-    tup = validate_tuple(parse_terms(args.terms_text))
+def _cmd_sum(args):
+    tup = validate_tuple(parse_int_list(args.terms_text))
     total = sum_reciprocals(tup)
     result = {
         "terms": [_decimal(t) for t in tup],
@@ -329,8 +297,8 @@ def _cmd_sum(cfg, args):
     return result, [format_rational(total)], None
 
 
-def _cmd_certify(cfg, args):
-    tup = validate_tuple(parse_terms(args.terms_text))
+def _cmd_certify(args):
+    tup = validate_tuple(parse_int_list(args.terms_text))
     cert = build_certificate(tup)
     check = validate_certificate(cert)
     total = sum_reciprocals(tup)
@@ -344,7 +312,7 @@ def _cmd_certify(cfg, args):
         "is_equality": cert.is_equality,
     }
     plain = [
-        f"terms {format_terms(tup)}",
+        f"terms {format_int_list(tup)}",
         f"sum {format_rational(total)}",
         f"sylvester sum {format_rational(bound)}",
         f"equality {'yes' if cert.is_equality else 'no'}",
@@ -354,27 +322,22 @@ def _cmd_certify(cfg, args):
     return result, plain, failure
 
 
-def _cmd_search(cfg, args):
+def _cmd_search(args):
     target = parse_rational(args.target)
     report = best_tuples(
-        args.terms, target, workers=cfg.workers, depth_cap=cfg.max_search_depth
+        args.terms, target, workers=args.workers, depth_cap=args.max_depth
     )
-    plain = [
-        "optimum "
-        + (
-            "none"
-            if report.optimum_sum is None
-            else format_rational(report.optimum_sum)
-        )
-    ]
+    result = _search_result(report)
+    # the report's optimum_sum is None when no tuple fits below the target
+    plain = [f"optimum {result['optimum_sum'] or 'none'}"]
     plain.extend(f"optima {tup}" for tup in report.optima)
     plain.append(f"nodes explored {report.nodes_explored}")
-    return _search_result(report), plain, None
+    return result, plain, None
 
 
-def _cmd_verify(cfg, args):
+def _cmd_verify(args):
     report = verify_theorem(
-        args.terms, workers=cfg.workers, depth_cap=cfg.max_search_depth
+        args.terms, workers=args.workers, depth_cap=args.max_depth
     )
     plain = [
         f"optimum {format_rational(report.optimum_sum)}",
@@ -384,7 +347,7 @@ def _cmd_verify(cfg, args):
     return _search_result(report), plain, None
 
 
-def _cmd_prop_check(cfg, args):
+def _cmd_prop_check(args):
     inst = MajorizationInstance(
         parse_rational_list(args.x), parse_rational_list(args.y)
     )
@@ -416,7 +379,7 @@ def _cmd_prop_check(cfg, args):
     return result, plain, failure
 
 
-def _cmd_muirhead(cfg, args):
+def _cmd_muirhead(args):
     inst = MuirheadInstance(
         parse_int_list(args.alpha),
         parse_int_list(args.alpha_prime),
@@ -446,12 +409,12 @@ def _cmd_muirhead(cfg, args):
     return result, plain, failure
 
 
-def _cmd_fuzz(cfg, args):
+def _cmd_fuzz(args):
     counterexample = brute_force_prop_search(
         args.n_max,
         args.trials,
         args.bound,
-        cfg.seed,
+        args.seed,
         require_hypotheses=not args.no_filter,
     )
     ce_dict = None
@@ -459,7 +422,7 @@ def _cmd_fuzz(cfg, args):
     if counterexample is None:
         plain = [
             f"no counterexample in {args.trials} trials "
-            f"(n_max={args.n_max}, bound={args.bound}, seed={cfg.seed})"
+            f"(n_max={args.n_max}, bound={args.bound}, seed={args.seed})"
         ]
     else:
         inst = counterexample.instance
@@ -491,7 +454,7 @@ def _cmd_fuzz(cfg, args):
     return result, plain, failure
 
 
-_HANDLERS: dict[str, Handler] = {
+_HANDLERS = {
     "sylvester": _cmd_sylvester,
     "sum": _cmd_sum,
     "certify": _cmd_certify,
@@ -514,10 +477,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        cfg = _config_from_args(args)
-        if cfg.max_search_depth < 0 or cfg.max_sylvester_terms < 0:
-            raise ParseError("caps must be nonnegative")
-        result, plain, failure = _HANDLERS[args.command](cfg, args)
+        _resolve_caps(args)
+        result, plain, failure = _HANDLERS[args.command](args)
     except EfracError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (VerificationFailed, ChainViolated)) else 1
@@ -527,23 +488,23 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     report = {
         "command": args.command,
-        "config": _config_dict(cfg, args.command),
+        "config": _config_dict(args),
         "result": result,
     }
     rendered = render_report(report)
-    if cfg.output_path is not None:
+    if args.output is not None:
         try:
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
             print(
-                f"error:WriteFailed: cannot write {cfg.output_path}: "
+                f"error:WriteFailed: cannot write {args.output}: "
                 f"{exc.strerror or exc}",
                 file=sys.stderr,
             )
             return 1
     try:
-        if cfg.output_format == "structured" and cfg.output_path is None:
+        if args.format == "structured" and args.output is None:
             sys.stdout.write(rendered)
         else:
             for line in plain:

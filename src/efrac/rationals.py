@@ -89,11 +89,6 @@ def parse_rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(item) for item in text.split(","))
 
 
-# Denominator tuples reuse the generic integer-list text format.
-parse_terms = parse_int_list
-format_terms = format_int_list
-
-
 @dataclass(frozen=True)
 class DenominatorTuple:
     """A nondecreasing tuple of integer denominators, all at least 2.
@@ -143,7 +138,7 @@ class DenominatorTuple:
         return self.terms[index]
 
     def __str__(self) -> str:
-        return format_terms(self.terms)
+        return format_int_list(self.terms)
 
 
 def sum_reciprocals(terms: Union[DenominatorTuple, Iterable[int]]) -> Fraction:
@@ -168,8 +163,8 @@ def validate_tuple(
     ``target`` is an ``int`` or a :class:`Fraction`.
 
     Input order is respected, never repaired: ``[3, 2]`` is rejected with
-    :class:`NotSorted` even though sorting would make it valid. Use
-    :func:`normalized_tuple` when sorting on the caller's behalf is wanted.
+    :class:`NotSorted` even though sorting would make it valid; a caller
+    that wants sorting sorts first.
     """
     tup = raw if isinstance(raw, DenominatorTuple) else DenominatorTuple(tuple(raw))
     # The sum is num/den with den the term product; compare it with the
@@ -183,11 +178,3 @@ def validate_tuple(
             f"strictly below {format_rational(target)}"
         )
     return tup
-
-
-def normalized_tuple(
-    raw: Sequence[int],
-    target: Fraction = ONE,
-) -> DenominatorTuple:
-    """Sort, then validate. The explicit opt-in counterpart to validate_tuple."""
-    return validate_tuple(sorted(raw), target)

@@ -20,12 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efrac import (
-    ChainViolated,
-    Empty,
-    InvalidTuple,
     ProductDeficit,
     Split,
-    ValidationResult,
     build_certificate,
     product,
     quick_strict_check,
@@ -34,7 +30,8 @@ from efrac import (
     validate_certificate,
     validate_tuple,
 )
-from efrac.errors import TermNotInteger
+from efrac.certificates import Empty, ValidationResult
+from efrac.errors import ChainViolated, InvalidTuple, TermNotInteger
 from tests.conftest import valid_tuples
 
 

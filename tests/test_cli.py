@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from efrac import cli, sylvester
 from efrac.cli import render_report, run
 from efrac.search import DEFAULT_DEPTH_CAP
 from tests.conftest import int_str_limit, needs_int_str_limit
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def invoke(capsys, *argv):
@@ -220,7 +223,7 @@ class TestErrorPaths:
     def test_verification_failure_exits_two(self, capsys, monkeypatch):
         # no honest input can make a verification fail, so fail the
         # dispatch seam itself to pin the exit-code contract
-        def broken(cfg, args):
+        def broken(args):
             return {}, [], "forced failure for the exit-code contract"
 
         monkeypatch.setitem(cli._HANDLERS, "verify", broken)
@@ -270,6 +273,23 @@ class TestEnvironmentPrecedence:
         monkeypatch.setenv("EF_MAX_TERMS", "lots")
         code, _, err = invoke(capsys, "sylvester", "--terms", "2")
         assert code == 1
+        assert err.startswith("error:Malformed:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sylvester", "--terms", "5", "--max-terms", "4"),
+            ("verify", "--terms", "3"),
+            ("sum", "--tuple", "2,3"),
+        ],
+        ids=["flag-overrides", "verify", "sum"],
+    )
+    def test_env_is_checked_even_when_unused(self, capsys, monkeypatch, argv):
+        # a malformed value is an error whether or not the cap it would
+        # set is in force, so the flag cannot hide it
+        monkeypatch.setenv("EF_MAX_TERMS", "abc")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
         assert err.startswith("error:Malformed:")
 
 
@@ -361,6 +381,55 @@ class TestStructuredOutput:
         written = path.read_text(encoding="utf-8")
         assert render_report(json.loads(written)) == written
         assert json.loads(written)["command"] == "verify"
+
+
+class TestGoldenReports:
+    """The full structured report of one invocation per subcommand."""
+
+    CASES = {
+        "sylvester": (("sylvester", "--terms", "5"), {"EF_MAX_TERMS": "10"}),
+        "sum": (("sum", "--tuple", "2,3,9,42"), {}),
+        "certify": (("certify", "--tuple", "2,3,9,42"), {}),
+        "search": (
+            ("search", "--terms", "3", "--target", "12/13", "--max-depth", "5"),
+            {},
+        ),
+        "verify": (("verify", "--terms", "4", "--workers", "2"), {}),
+        "prop-check": (("prop-check", "--x", "1/7,1/43", "--y", "1/9,1/42"), {}),
+        "muirhead": (
+            (
+                "muirhead",
+                "--alpha", "4,1",
+                "--alpha-prime", "3,2",
+                "--values", "2,3",
+            ),
+            {},
+        ),
+        "fuzz": (
+            (
+                "fuzz",
+                "--trials", "2000",
+                "--seed", "5",
+                "--bound", "5",
+                "--no-filter",
+            ),
+            {},
+        ),
+    }
+
+    def test_every_subcommand_is_pinned(self):
+        assert sorted(self.CASES) == sorted(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_report_is_byte_identical(self, capsys, monkeypatch, command):
+        argv, env = self.CASES[command]
+        monkeypatch.delenv("EF_MAX_TERMS", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = invoke(capsys, *argv, "--format", "structured")
+        assert (code, err) == (0, "")
+        golden = GOLDEN / f"{command}.json"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 class TestEntryPoints:

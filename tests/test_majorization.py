@@ -16,10 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efrac import (
-    CapExceeded,
-    HypothesesViolated,
-    InvalidInstance,
-    LengthMismatch,
     MajorizationInstance,
     MuirheadInstance,
     PropositionCounterexample,
@@ -28,12 +24,17 @@ from efrac import (
     check_hypotheses,
     majorizes,
     normalize_scale,
-    prefix_dominates,
     random_instance,
     sum_dominates,
     symmetric_sum,
 )
-from efrac.majorization import MAX_SYMMETRIC_BITS, _trial_rng
+from efrac.errors import (
+    CapExceeded,
+    HypothesesViolated,
+    InvalidInstance,
+    LengthMismatch,
+)
+from efrac.majorization import MAX_SYMMETRIC_BITS, _trial_rng, prefix_dominates
 from tests.conftest import majorization_instances
 
 F = Fraction

@@ -7,21 +7,24 @@ from hypothesis import given, strategies as st
 
 from efrac import (
     DenominatorTuple,
-    NotSorted,
-    ParseError,
-    SumNotBelowOne,
-    TermTooSmall,
     format_rational,
-    format_terms,
-    normalized_tuple,
-    parse_rational,
-    parse_terms,
     product,
     sum_reciprocals,
     validate_tuple,
 )
-from efrac.errors import TermNotInteger
-from efrac.rationals import _decimal
+from efrac.errors import (
+    NotSorted,
+    ParseError,
+    SumNotBelowOne,
+    TermNotInteger,
+    TermTooSmall,
+)
+from efrac.rationals import (
+    _decimal,
+    format_int_list,
+    parse_int_list,
+    parse_rational,
+)
 from tests.conftest import int_str_limit, needs_int_str_limit, valid_tuples
 
 
@@ -96,7 +99,7 @@ class TestDecimal:
         n = 10**5000 + 7
         with int_str_limit(4300):
             rational = format_rational(Fraction(1, n))
-            terms = format_terms((n, n))
+            terms = format_int_list((n, n))
         with int_str_limit(0):
             assert rational == f"1/{n}"
             assert terms == f"{n},{n}"
@@ -104,21 +107,21 @@ class TestDecimal:
 
 class TestTermsFormat:
     def test_empty_string_is_empty_tuple(self):
-        assert parse_terms("") == ()
+        assert parse_int_list("") == ()
 
     def test_parse(self):
-        assert parse_terms("2,3,7,43") == (2, 3, 7, 43)
+        assert parse_int_list("2,3,7,43") == (2, 3, 7, 43)
 
     def test_format(self):
-        assert format_terms((2, 3, 7, 43)) == "2,3,7,43"
+        assert format_int_list((2, 3, 7, 43)) == "2,3,7,43"
 
     def test_format_empty(self):
-        assert format_terms(()) == ""
+        assert format_int_list(()) == ""
 
     @pytest.mark.parametrize("bad", ["2,x", "2,,3", "2, 3", "2;3"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
-            parse_terms(bad)
+            parse_int_list(bad)
 
 
 class TestDenominatorTuple:
@@ -207,11 +210,6 @@ class TestValidateTuple:
         with pytest.raises(SumNotBelowOne):
             validate_tuple((2, 4), Fraction(3, 4))
         assert validate_tuple((2, 5), Fraction(3, 4)).terms == (2, 5)
-
-    def test_normalized_tuple_sorts_first(self):
-        assert normalized_tuple([7, 3, 2]).terms == (2, 3, 7)
-        with pytest.raises(SumNotBelowOne):
-            normalized_tuple([2, 2])
 
     @given(
         st.lists(st.integers(min_value=2, max_value=30), max_size=6).map(sorted),

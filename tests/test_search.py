@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efrac import (
-    DepthCapExceeded,
     best_tuples,
     greedy_underapprox,
     sum_reciprocals,
@@ -15,6 +14,7 @@ from efrac import (
     validate_tuple,
     verify_theorem,
 )
+from efrac.errors import DepthCapExceeded
 from efrac.search import DEFAULT_DEPTH_CAP, _floor_exceeds, _walk
 
 F = Fraction

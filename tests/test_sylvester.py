@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from efrac import CapExceeded, shortfall_identity_check, sylvester, sum_reciprocals
+from efrac import shortfall_identity_check, sylvester, sum_reciprocals
+from efrac.errors import CapExceeded
 
 
 def test_first_terms():
@@ -98,6 +99,12 @@ def test_negative_count_rejected():
         sylvester(-1)
 
 
-def test_as_denominator_tuple():
-    tup = sylvester(4).as_denominator_tuple()
-    assert tup.terms == (2, 3, 7, 43)
+def test_prefixes_are_cached_per_length():
+    assert sylvester(9) is sylvester(9)
+    assert sylvester(9).terms[:5] == sylvester(5).terms
+
+
+def test_cap_is_checked_before_the_cache():
+    sylvester(6)
+    with pytest.raises(CapExceeded):
+        sylvester(6, cap=5)
