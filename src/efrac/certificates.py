@@ -19,11 +19,11 @@ for one tuple, mirroring the inductive argument:
   only through all-equal tails and an equality head.
 * ``Empty``: the zero-length tuple; both sums are 0.
 
-The builder works in integers only: one backward pass over suffix
+The builder only constructs, in integers: one backward pass over suffix
 products finds ell and the deficit witness, and one forward pass over the
-tail builds the chain and both tail sums as numerators over the running
-products, compared by cross multiplication. :func:`quick_strict_check`
-gives the product-deficit leaf on its own.
+tail builds the chain. It checks none of the claims it records; every one
+of them is checked only by :func:`validate_certificate`.
+:func:`quick_strict_check` gives the product-deficit leaf on its own.
 
 :func:`validate_certificate` is an independent re-checker, also in
 integers, that shares no code with the builder. It walks the head spine in
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .errors import ChainViolated
 from .rationals import DenominatorTuple, product, validate_tuple
 from .sylvester import sylvester
 
@@ -144,36 +143,14 @@ def _build(terms: tuple[int, ...]) -> InequalityCertificate:
             break
         witness = (suffix_b, suffix_a)
 
-    # Forward pass over the tail: the chain of products of terms ell..j,
-    # and both tail sums as numerators over those running products.
+    # Forward pass over the tail: the chain of products of terms ell..j.
     chain = []
     run_b = run_a = 1
-    sum_b = sum_a = 0
     for j in range(ell - 1, k):
-        sum_b = sum_b * terms[j] + run_b
-        sum_a = sum_a * a_terms[j] + run_a
         run_b *= terms[j]
         run_a *= a_terms[j]
-        if run_b < run_a:
-            raise ChainViolated(
-                f"prefix product through position {j + 1} has b-side {run_b} "
-                f"below a-side {run_a}; ell = {ell} was not chosen maximal"
-            )
         chain.append((run_b, run_a))
-
-    # The chain is prefix-product domination for the reciprocal tail, so
-    # the tail sum of b cannot exceed the Sylvester tail sum, with equality
-    # exactly for entrywise equal tails.
-    lhs = sum_b * run_a
-    rhs = sum_a * run_b
-    if lhs > rhs:
-        raise ChainViolated("tail sum exceeds the Sylvester tail sum")
     tail_equality = terms[ell - 1 :] == a_terms[ell - 1 :]
-    if (lhs == rhs) != tail_equality:
-        raise ChainViolated(
-            "tail sums agree exactly when the tails are entrywise equal; "
-            "the two checks disagreed"
-        )
 
     head = _build(terms[: ell - 1])
     node = Split(ell, tuple(chain), witness, tail_equality, head)

@@ -33,7 +33,7 @@ from .certificates import (
     build_certificate,
     validate_certificate,
 )
-from .errors import ChainViolated, EfracError, ParseError, VerificationFailed
+from .errors import EfracError, ParseError, VerificationFailed
 from .majorization import (
     MajorizationInstance,
     MuirheadInstance,
@@ -203,7 +203,8 @@ def _resolve_caps(args: argparse.Namespace) -> None:
     malformed value is always reported.
     """
     env = os.environ.get(ENV_MAX_TERMS)
-    if env is not None and not env.isdigit():
+    # isdigit alone admits non-ASCII digits such as '²', which int() rejects
+    if env is not None and not (env.isascii() and env.isdigit()):
         raise ParseError(
             f"{ENV_MAX_TERMS} must be a nonnegative integer, got {env!r}"
         )
@@ -298,11 +299,10 @@ def _cmd_sum(args):
 
 
 def _cmd_certify(args):
-    tup = validate_tuple(parse_int_list(args.terms_text))
-    cert = build_certificate(tup)
+    cert = build_certificate(parse_int_list(args.terms_text))
     check = validate_certificate(cert)
-    total = sum_reciprocals(tup)
-    bound = ONE - Fraction(1, sylvester(len(tup)).running_product)
+    total = sum_reciprocals(cert.terms)
+    bound = ONE - Fraction(1, sylvester(len(cert.terms)).running_product)
     result = {
         "certificate": certificate_to_dict(cert),
         "valid": check.ok,
@@ -312,7 +312,7 @@ def _cmd_certify(args):
         "is_equality": cert.is_equality,
     }
     plain = [
-        f"terms {format_int_list(tup)}",
+        f"terms {format_int_list(cert.terms)}",
         f"sum {format_rational(total)}",
         f"sylvester sum {format_rational(bound)}",
         f"equality {'yes' if cert.is_equality else 'no'}",
@@ -481,7 +481,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         result, plain, failure = _HANDLERS[args.command](args)
     except EfracError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (VerificationFailed, ChainViolated)) else 1
+        return 2 if isinstance(exc, VerificationFailed) else 1
     except ValueError as exc:
         print(f"error:InvalidInput: {exc}", file=sys.stderr)
         return 1

@@ -67,12 +67,6 @@ class DepthCapExceeded(EfracError):
     code = "DepthCapExceeded"
 
 
-class ChainViolated(EfracError):
-    """An internally derived inequality failed; this always indicates a bug."""
-
-    code = "ChainViolated"
-
-
 class VerificationFailed(EfracError):
     """A mathematical check that must hold did not; indicates a bug."""
 

@@ -31,7 +31,7 @@ from efrac import (
     validate_tuple,
 )
 from efrac.certificates import Empty, ValidationResult
-from efrac.errors import ChainViolated, InvalidTuple, TermNotInteger
+from efrac.errors import InvalidTuple, TermNotInteger
 from tests.conftest import valid_tuples
 
 
@@ -65,7 +65,7 @@ def chain_from_ell(b, ell):
 
     With ell chosen by :func:`largest_ell` every pair satisfies
     b-side >= a-side; a violated pair means ell was not chosen maximal,
-    which is reported as :class:`ChainViolated`.
+    which is reported as a :class:`ValueError`.
     """
     tup = validate_tuple(b)
     k = len(tup)
@@ -79,7 +79,7 @@ def chain_from_ell(b, ell):
         run_b *= tup[j - 1]
         run_a *= a_terms[j - 1]
         if run_b < run_a:
-            raise ChainViolated(f"b-side {run_b} below a-side {run_a} at {j}")
+            raise ValueError(f"b-side {run_b} below a-side {run_a} at {j}")
         pairs.append((run_b, run_a))
     return tuple(pairs)
 
@@ -128,7 +128,7 @@ class TestChainFromEll:
     def test_wrong_ell_with_a_short_suffix_is_reported(self):
         # product 550 < 1806, so no ell is admissible; forcing one makes
         # the run b[2]*b[3]*b[4] = 275 fall below a-side 903
-        with pytest.raises(ChainViolated):
+        with pytest.raises(ValueError, match="below a-side"):
             chain_from_ell((2, 5, 5, 11), 2)
 
     def test_ell_out_of_range(self):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,31 @@ class TestErrorPaths:
         assert err.startswith("error:VerificationFailed:")
 
     @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_invalid_certificate_exits_two(self, capsys, monkeypatch, fmt):
+        # the builder checks nothing, so a builder bug reaches ef only
+        # through the validator's verdict
+        real = cli.build_certificate
+
+        def flipped(terms):
+            cert = real(terms)
+            return replace(cert, is_equality=not cert.is_equality)
+
+        monkeypatch.setattr(cli, "build_certificate", flipped)
+        code, out, err = invoke(
+            capsys, "certify", "--tuple", "2,3,9,42", "--format", fmt
+        )
+        reason = "equality_flag_inconsistent"
+        assert code == 2
+        assert err == (
+            f"error:VerificationFailed: certificate failed validation: {reason}\n"
+        )
+        if fmt == "plain":
+            assert out.endswith("\ncertificate INVALID\n")
+        else:
+            result = json.loads(out)["result"]
+            assert (result["valid"], result["reason"]) == (False, reason)
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
     def test_closed_stdout_pipe(self, fmt):
         # the read end is closed before the child starts, so its first
         # write to stdout fails with a broken pipe
@@ -269,8 +295,14 @@ class TestEnvironmentPrecedence:
         assert code == 0
         assert out == "2,3,7,43,1807\n"
 
-    def test_env_must_be_numeric(self, capsys, monkeypatch):
-        monkeypatch.setenv("EF_MAX_TERMS", "lots")
+    @pytest.mark.parametrize(
+        "value",
+        ["lots", "\u00b2", "\u0663"],
+        ids=["lots", "superscript-two", "arabic-indic-three"],
+    )
+    def test_env_must_be_numeric(self, capsys, monkeypatch, value):
+        # str.isdigit accepts the last two, which int() rejects or reads as 3
+        monkeypatch.setenv("EF_MAX_TERMS", value)
         code, _, err = invoke(capsys, "sylvester", "--terms", "2")
         assert code == 1
         assert err.startswith("error:Malformed:")
