@@ -33,7 +33,7 @@ from .certificates import (
     build_certificate,
     validate_certificate,
 )
-from .errors import EfracError, ParseError, VerificationFailed
+from .errors import EfracError, VerificationFailed
 from .majorization import (
     MajorizationInstance,
     MuirheadInstance,
@@ -61,9 +61,7 @@ from .search import (
     best_tuples,
     verify_theorem,
 )
-from .sylvester import DEFAULT_TERM_CAP, sylvester
-
-ENV_MAX_TERMS = "EF_MAX_TERMS"
+from .sylvester import sylvester
 
 
 class _UsageError(Exception):
@@ -111,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     searching.add_argument(
         "--max-depth",
         type=_nonneg_int,
-        default=None,
-        help=f"search depth cap (default {DEFAULT_DEPTH_CAP})",
+        default=DEFAULT_DEPTH_CAP,
+        help="search depth cap (default %(default)s)",
     )
 
     parser = _Parser(
@@ -126,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sylvester", parents=[common], help="print the first K sequence terms"
     )
     p.add_argument("--terms", type=_nonneg_int, required=True, metavar="K")
-    p.add_argument(
-        "--max-terms",
-        type=_nonneg_int,
-        default=None,
-        help=f"term cap (default {DEFAULT_TERM_CAP}, env {ENV_MAX_TERMS})",
-    )
 
     p = sub.add_parser(
         "sum", parents=[common], help="validate a tuple and print its sum"
@@ -195,29 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_caps(args: argparse.Namespace) -> None:
-    """Set ``args.max_terms`` and ``args.max_depth`` to the caps in force.
-
-    ``--max-terms`` wins over ``EF_MAX_TERMS``, which wins over the default
-    of 64; the variable is validated even when the flag overrides it, so a
-    malformed value is always reported.
-    """
-    env = os.environ.get(ENV_MAX_TERMS)
-    # isdigit alone admits non-ASCII digits such as '²', which int() rejects
-    if env is not None and not (env.isascii() and env.isdigit()):
-        raise ParseError(
-            f"{ENV_MAX_TERMS} must be a nonnegative integer, got {env!r}"
-        )
-    if getattr(args, "max_terms", None) is None:
-        args.max_terms = DEFAULT_TERM_CAP if env is None else int(env)
-    if getattr(args, "max_depth", None) is None:
-        args.max_depth = DEFAULT_DEPTH_CAP
-
-
 def _config_dict(args: argparse.Namespace) -> dict[str, Any]:
+    # only search and verify take --max-depth; the rest echo the default
     out: dict[str, Any] = {
-        "max_search_depth": args.max_depth,
-        "max_sylvester_terms": args.max_terms,
+        "max_search_depth": getattr(args, "max_depth", DEFAULT_DEPTH_CAP)
     }
     if args.command == "fuzz":
         out["seed"] = args.seed
@@ -274,7 +247,7 @@ def _search_result(report: OptimalityReport) -> dict[str, Any]:
 
 
 def _cmd_sylvester(args):
-    prefix = sylvester(args.terms, cap=args.max_terms)
+    prefix = sylvester(args.terms)
     total = sum_reciprocals(prefix.terms)
     result = {
         "k": prefix.k,
@@ -477,7 +450,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        _resolve_caps(args)
         result, plain, failure = _HANDLERS[args.command](args)
     except EfracError as exc:
         print(f"error:{exc.code}: {exc}", file=sys.stderr)

@@ -32,8 +32,8 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.match(text)
     if match is None:
         raise ParseError(f"not a rational: {text!r} (expected 'p' or 'p/q')")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    num = _parse_decimal(match.group(1))
+    den = _parse_decimal(match.group(2)) if match.group(2) else 1
     return Fraction(num, den)
 
 
@@ -59,6 +59,24 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(digits)
 
 
+def _parse_decimal(text: str) -> int:
+    """``int(text)`` for a decimal of any length, without lifting the cap.
+
+    The inverse of ``_decimal``. Text within the cap goes to ``int``
+    directly; an optional sign is peeled off longer text, which is then
+    split in two, each half parsed the same way, and the halves combined
+    as ``high * 10**len(low) + low``.
+    """
+    cap = _max_str_digits()
+    if not cap or len(text) <= cap:
+        return int(text)
+    if text[0] in "+-":
+        value = _parse_decimal(text[1:])
+        return -value if text[0] == "-" else value
+    high, low = text[: len(text) // 2], text[len(text) // 2 :]
+    return _parse_decimal(high) * 10 ** len(low) + _parse_decimal(low)
+
+
 def format_rational(value: Fraction) -> str:
     """Render in lowest terms, omitting the denominator when it is 1."""
     value = Fraction(value)
@@ -75,7 +93,7 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     for item in items:
         if not _INT_RE.match(item):
             raise ParseError(f"not an integer list: {text!r} (bad item {item!r})")
-    return tuple(int(item) for item in items)
+    return tuple(_parse_decimal(item) for item in items)
 
 
 def format_int_list(values: Iterable[int]) -> str:
@@ -110,12 +128,13 @@ class DenominatorTuple:
                 terms = (*terms[:i], int(term), *terms[i + 1 :])  # as a plain int
             if term < 2:
                 raise TermTooSmall(
-                    f"terms[{i}] = {term}: every denominator must be at least 2"
+                    f"terms[{i}] = {_decimal(term)}: "
+                    "every denominator must be at least 2"
                 )
             if prev is not None and term < prev:
                 raise NotSorted(
-                    f"terms must be nondecreasing: terms[{i - 1}] = {prev} "
-                    f"is followed by terms[{i}] = {term}"
+                    f"terms must be nondecreasing: terms[{i - 1}] = "
+                    f"{_decimal(prev)} is followed by terms[{i}] = {_decimal(term)}"
                 )
             prev = term
         object.__setattr__(self, "terms", terms)

@@ -2,9 +2,9 @@
 
 Each term is one more than the product of all earlier terms, so the
 reciprocal sum of the first k terms falls short of 1 by exactly the
-reciprocal of the running product. Terms roughly square at every step;
-a configurable cap keeps accidental huge requests from allocating
-numbers with astronomically many digits.
+reciprocal of the running product. Terms roughly square at every step,
+so the product P_k has about 0.68 * 2**k bits and k alone sets the size
+of every integer a prefix holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from functools import lru_cache
 from .errors import CapExceeded
 from .rationals import ONE, sum_reciprocals
 
-DEFAULT_TERM_CAP = 64
+# P_22 has 2,836,132 bits and P_23 twice that, so this term count is the
+# bit budget of every prefix the package builds.
+MAX_TERMS = 22
 
 
 @dataclass(frozen=True)
@@ -31,22 +33,18 @@ class SylvesterPrefix:
         return len(self.terms)
 
 
-def sylvester(k: int, cap: int = DEFAULT_TERM_CAP) -> SylvesterPrefix:
+@lru_cache(maxsize=None)
+def sylvester(k: int) -> SylvesterPrefix:
     """First k terms of the sequence, built by the product recurrence.
 
     The recurrence term = product + 1 covers the base case too, since the
-    empty product is 1. Prefixes are cached per k behind the cap check, so
-    a cached long prefix never gets past a lower cap.
+    empty product is 1. Prefixes are cached per k; a k above ``MAX_TERMS``
+    raises ``CapExceeded`` before anything is built or cached.
     """
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
-    if k > cap:
-        raise CapExceeded(f"requested {k} terms but the cap is {cap}")
-    return _prefix(k)
-
-
-@lru_cache(maxsize=None)
-def _prefix(k: int) -> SylvesterPrefix:
+    if k > MAX_TERMS:
+        raise CapExceeded(f"requested {k} terms but the cap is {MAX_TERMS}")
     terms = []
     prod = 1
     for _ in range(k):

@@ -195,6 +195,30 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err.startswith("error:CapExceeded:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "--tuple", ",".join(["31"] * 30)),
+            ("sylvester", "--terms", "23"),
+            ("verify", "--terms", "23", "--max-depth", "30"),
+        ],
+        ids=["certify", "sylvester", "verify"],
+    )
+    def test_term_cap_ends_at_once(self, capsys, argv):
+        # each would need the 23- or 30-term Sylvester prefix, which is
+        # refused from k alone before any of it is built
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:CapExceeded:")
+
+    def test_removed_term_cap_flag_is_a_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "sylvester", "--terms", "3", "--max-terms", "5"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:Usage: unrecognized arguments: --max-terms")
+
     def test_missing_required_flag(self, capsys):
         code, _, err = invoke(capsys, "search")
         assert code == 1
@@ -280,51 +304,6 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:WriteFailed: "), lines
 
 
-class TestEnvironmentPrecedence:
-    def test_env_cap_applies(self, capsys, monkeypatch):
-        monkeypatch.setenv("EF_MAX_TERMS", "3")
-        code, _, err = invoke(capsys, "sylvester", "--terms", "5")
-        assert code == 1
-        assert err.startswith("error:CapExceeded:")
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EF_MAX_TERMS", "3")
-        code, out, _ = invoke(
-            capsys, "sylvester", "--terms", "5", "--max-terms", "5"
-        )
-        assert code == 0
-        assert out == "2,3,7,43,1807\n"
-
-    @pytest.mark.parametrize(
-        "value",
-        ["lots", "\u00b2", "\u0663"],
-        ids=["lots", "superscript-two", "arabic-indic-three"],
-    )
-    def test_env_must_be_numeric(self, capsys, monkeypatch, value):
-        # str.isdigit accepts the last two, which int() rejects or reads as 3
-        monkeypatch.setenv("EF_MAX_TERMS", value)
-        code, _, err = invoke(capsys, "sylvester", "--terms", "2")
-        assert code == 1
-        assert err.startswith("error:Malformed:")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sylvester", "--terms", "5", "--max-terms", "4"),
-            ("verify", "--terms", "3"),
-            ("sum", "--tuple", "2,3"),
-        ],
-        ids=["flag-overrides", "verify", "sum"],
-    )
-    def test_env_is_checked_even_when_unused(self, capsys, monkeypatch, argv):
-        # a malformed value is an error whether or not the cap it would
-        # set is in force, so the flag cannot hide it
-        monkeypatch.setenv("EF_MAX_TERMS", "abc")
-        code, out, err = invoke(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:Malformed:")
-
-
 class TestStructuredOutput:
     def test_reports_round_trip_byte_identically(self, capsys):
         for argv in (
@@ -365,6 +344,20 @@ class TestStructuredOutput:
             assert result["running_product"] == str(prod)
             assert result["shortfall"] == f"1/{prod}"
 
+    @needs_int_str_limit
+    def test_terms_past_the_int_str_digit_limit_read_back(self, capsys):
+        # the 16th term has 6,671 digits; what `ef sylvester` prints,
+        # `ef certify` must read
+        with int_str_limit(4300):
+            code, out, _ = invoke(capsys, "sylvester", "--terms", "16")
+            assert code == 0
+            code, out, err = invoke(
+                capsys, "certify", "--tuple", out.strip(), "--format", "structured"
+            )
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["is_equality"], result["valid"]) == (True, True)
+
     def test_certificate_schema(self, capsys):
         _, out, _ = invoke(
             capsys, "certify", "--tuple", "2,3,9,42", "--format", "structured"
@@ -385,13 +378,6 @@ class TestStructuredOutput:
         assert cert["kind"] == "product_deficit"
         assert cert["b_product"] == "924"
         assert cert["a_product"] == "1806"
-
-    def test_config_reflects_effective_settings(self, capsys, monkeypatch):
-        monkeypatch.setenv("EF_MAX_TERMS", "10")
-        _, out, _ = invoke(
-            capsys, "sylvester", "--terms", "4", "--format", "structured"
-        )
-        assert json.loads(out)["config"]["max_sylvester_terms"] == 10
 
     def test_worker_count_never_reaches_the_report(self, capsys):
         _, one, _ = invoke(
@@ -419,33 +405,19 @@ class TestGoldenReports:
     """The full structured report of one invocation per subcommand."""
 
     CASES = {
-        "sylvester": (("sylvester", "--terms", "5"), {"EF_MAX_TERMS": "10"}),
-        "sum": (("sum", "--tuple", "2,3,9,42"), {}),
-        "certify": (("certify", "--tuple", "2,3,9,42"), {}),
+        "sylvester": ("sylvester", "--terms", "5"),
+        "sum": ("sum", "--tuple", "2,3,9,42"),
+        "certify": ("certify", "--tuple", "2,3,9,42"),
         "search": (
-            ("search", "--terms", "3", "--target", "12/13", "--max-depth", "5"),
-            {},
+            "search", "--terms", "3", "--target", "12/13", "--max-depth", "5"
         ),
-        "verify": (("verify", "--terms", "4", "--workers", "2"), {}),
-        "prop-check": (("prop-check", "--x", "1/7,1/43", "--y", "1/9,1/42"), {}),
+        "verify": ("verify", "--terms", "4", "--workers", "2"),
+        "prop-check": ("prop-check", "--x", "1/7,1/43", "--y", "1/9,1/42"),
         "muirhead": (
-            (
-                "muirhead",
-                "--alpha", "4,1",
-                "--alpha-prime", "3,2",
-                "--values", "2,3",
-            ),
-            {},
+            "muirhead", "--alpha", "4,1", "--alpha-prime", "3,2", "--values", "2,3"
         ),
         "fuzz": (
-            (
-                "fuzz",
-                "--trials", "2000",
-                "--seed", "5",
-                "--bound", "5",
-                "--no-filter",
-            ),
-            {},
+            "fuzz", "--trials", "2000", "--seed", "5", "--bound", "5", "--no-filter"
         ),
     }
 
@@ -453,12 +425,10 @@ class TestGoldenReports:
         assert sorted(self.CASES) == sorted(cli._HANDLERS)
 
     @pytest.mark.parametrize("command", sorted(CASES))
-    def test_report_is_byte_identical(self, capsys, monkeypatch, command):
-        argv, env = self.CASES[command]
-        monkeypatch.delenv("EF_MAX_TERMS", raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        code, out, err = invoke(capsys, *argv, "--format", "structured")
+    def test_report_is_byte_identical(self, capsys, command):
+        code, out, err = invoke(
+            capsys, *self.CASES[command], "--format", "structured"
+        )
         assert (code, err) == (0, "")
         golden = GOLDEN / f"{command}.json"
         assert out == golden.read_text(encoding="utf-8")

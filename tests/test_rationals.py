@@ -104,6 +104,27 @@ class TestDecimal:
             assert rational == f"1/{n}"
             assert terms == f"{n},{n}"
 
+    @pytest.mark.parametrize("cap", [640, 4300])
+    def test_parsing_reads_back_what_formatting_writes(self, cap):
+        values = tuple(self.samples(cap))
+        with int_str_limit(cap):
+            assert parse_int_list(format_int_list(values)) == values
+            assert parse_int_list("+" + _decimal(10**cap)) == (10**cap,)
+            for n in values:
+                value = Fraction(n, abs(n) + 1)
+                assert parse_rational(format_rational(value)) == value
+
+    def test_error_messages_render_any_term(self):
+        n = 10**5000 + 7
+        with int_str_limit(4300):
+            with pytest.raises(TermTooSmall) as small:
+                DenominatorTuple((-n,))
+            with pytest.raises(NotSorted) as unsorted:
+                DenominatorTuple((n, 3))
+        with int_str_limit(0):
+            assert f"terms[0] = {-n}:" in str(small.value)
+            assert f"terms[0] = {n} is followed" in str(unsorted.value)
+
 
 class TestTermsFormat:
     def test_empty_string_is_empty_tuple(self):

@@ -350,9 +350,9 @@ class TestVerifyTheorem:
         # the cap must not build it first
         built = []
 
-        def recording(k, *args):
+        def recording(k):
             built.append(k)
-            return sylvester(k, *args)
+            return sylvester(k)
 
         monkeypatch.setattr("efrac.search.sylvester", recording)
         cap = DEFAULT_DEPTH_CAP

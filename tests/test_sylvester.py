@@ -1,5 +1,6 @@
 """The product-plus-one sequence and its exact identities."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from efrac import shortfall_identity_check, sylvester, sum_reciprocals
 from efrac.errors import CapExceeded
+from efrac.sylvester import MAX_TERMS
 
 
 def test_first_terms():
@@ -87,11 +89,41 @@ def test_reciprocal_sum_matches_identity():
 
 
 def test_cap_enforced():
-    with pytest.raises(CapExceeded):
-        sylvester(65)
-    with pytest.raises(CapExceeded):
-        sylvester(5, cap=4)
-    assert sylvester(5, cap=5).k == 5
+    for k in (MAX_TERMS + 1, 64, 10**9):
+        with pytest.raises(CapExceeded, match=f"requested {k} terms"):
+            sylvester(k)
+
+
+def test_bit_sizes_at_the_cap():
+    # P_(k+1) = P_k**2 + P_k, so with b = bits(P_k) it has 2b - 1 or 2b
+    # bits; the sizes of P_22 and P_23 follow from P_12 by arithmetic on
+    # k alone, without building either
+    low = high = sylvester(12).running_product.bit_length()
+    for _ in range(12, MAX_TERMS):
+        low, high = 2 * low - 1, 2 * high
+    assert low <= 2_836_132 <= high
+    assert 2 * low - 1 > 5_000_000
+
+
+def test_cap_is_checked_before_building(monkeypatch):
+    # the loop is driven by range(k), so a recording range that yields
+    # nothing shows which k reach the build without building any prefix
+    reached = []
+
+    def recording(k):
+        reached.append(k)
+        return iter(())
+
+    module = importlib.import_module("efrac.sylvester")
+    monkeypatch.setattr(module, "range", recording, raising=False)
+    sylvester.cache_clear()
+    try:
+        assert sylvester(MAX_TERMS).terms == ()
+        with pytest.raises(CapExceeded):
+            sylvester(MAX_TERMS + 1)
+    finally:
+        sylvester.cache_clear()
+    assert reached == [MAX_TERMS]
 
 
 def test_negative_count_rejected():
@@ -105,6 +137,10 @@ def test_prefixes_are_cached_per_length():
 
 
 def test_cap_is_checked_before_the_cache():
+    # a refused k is never cached, so it is refused again on every call
     sylvester(6)
-    with pytest.raises(CapExceeded):
-        sylvester(6, cap=5)
+    cached = sylvester.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            sylvester(MAX_TERMS + 1)
+    assert sylvester.cache_info().currsize == cached
