@@ -11,9 +11,11 @@ byte-identical. Rationals serialize as ``"p/q"`` strings and
 arbitrary-precision integers (terms, products, symmetric sums) as decimal
 strings, since either can overflow native numbers in most consumers;
 bounded counters (k, ell, nodes, trials, seeds) stay native. The emitted
-config carries only the settings that affect the mathematical result,
-never execution details like the worker count, so reports from any
-worker split compare equal byte for byte.
+config carries only the settings that affect the mathematical result and
+that the result does not already show: the seed for ``fuzz``, and nothing
+for the other commands, whose search depth and Sylvester budget are fixed.
+It never carries execution details like the worker count, so reports from
+any worker split compare equal byte for byte.
 """
 
 from __future__ import annotations
@@ -55,12 +57,7 @@ from .rationals import (
     sum_reciprocals,
     validate_tuple,
 )
-from .search import (
-    DEFAULT_DEPTH_CAP,
-    OptimalityReport,
-    best_tuples,
-    verify_theorem,
-)
+from .search import OptimalityReport, best_tuples, verify_theorem
 from .sylvester import sylvester
 
 
@@ -106,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     searching = argparse.ArgumentParser(add_help=False)
     searching.add_argument("--workers", type=_positive_int, default=1, metavar="N")
-    searching.add_argument(
-        "--max-depth",
-        type=_nonneg_int,
-        default=DEFAULT_DEPTH_CAP,
-        help="search depth cap (default %(default)s)",
-    )
 
     parser = _Parser(
         prog="ef",
@@ -188,13 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_dict(args: argparse.Namespace) -> dict[str, Any]:
-    # only search and verify take --max-depth; the rest echo the default
-    out: dict[str, Any] = {
-        "max_search_depth": getattr(args, "max_depth", DEFAULT_DEPTH_CAP)
-    }
-    if args.command == "fuzz":
-        out["seed"] = args.seed
-    return out
+    return {"seed": args.seed} if args.command == "fuzz" else {}
 
 
 def certificate_to_dict(cert: InequalityCertificate) -> dict[str, Any]:
@@ -226,8 +211,14 @@ def certificate_to_dict(cert: InequalityCertificate) -> dict[str, Any]:
 
 
 def render_report(report: dict[str, Any]) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    A certificate in the report is rendered by ``certificate_to_dict``.
+    """
+    return (
+        json.dumps(report, sort_keys=True, indent=2, default=certificate_to_dict)
+        + "\n"
+    )
 
 
 def _search_result(report: OptimalityReport) -> dict[str, Any]:
@@ -256,7 +247,7 @@ def _cmd_sylvester(args):
         "reciprocal_sum": format_rational(total),
         "shortfall": format_rational(ONE - total),
     }
-    return result, [format_int_list(prefix.terms)], None
+    return result, [",".join(result["terms"])], None
 
 
 def _cmd_sum(args):
@@ -268,7 +259,7 @@ def _cmd_sum(args):
         "product": _decimal(product(tup)),
         "shortfall": format_rational(ONE - total),
     }
-    return result, [format_rational(total)], None
+    return result, [result["sum"]], None
 
 
 def _cmd_certify(args):
@@ -277,7 +268,7 @@ def _cmd_certify(args):
     total = sum_reciprocals(cert.terms)
     bound = ONE - Fraction(1, sylvester(len(cert.terms)).running_product)
     result = {
-        "certificate": certificate_to_dict(cert),
+        "certificate": cert,
         "valid": check.ok,
         "reason": check.reason,
         "sum": format_rational(total),
@@ -286,8 +277,8 @@ def _cmd_certify(args):
     }
     plain = [
         f"terms {format_int_list(cert.terms)}",
-        f"sum {format_rational(total)}",
-        f"sylvester sum {format_rational(bound)}",
+        f"sum {result['sum']}",
+        f"sylvester sum {result['sylvester_sum']}",
         f"equality {'yes' if cert.is_equality else 'no'}",
         f"certificate {'valid' if check.ok else 'INVALID'}",
     ]
@@ -297,27 +288,23 @@ def _cmd_certify(args):
 
 def _cmd_search(args):
     target = parse_rational(args.target)
-    report = best_tuples(
-        args.terms, target, workers=args.workers, depth_cap=args.max_depth
-    )
+    report = best_tuples(args.terms, target, workers=args.workers)
     result = _search_result(report)
     # the report's optimum_sum is None when no tuple fits below the target
     plain = [f"optimum {result['optimum_sum'] or 'none'}"]
-    plain.extend(f"optima {tup}" for tup in report.optima)
+    plain.extend(f"optima {','.join(tup)}" for tup in result["optima"])
     plain.append(f"nodes explored {report.nodes_explored}")
     return result, plain, None
 
 
 def _cmd_verify(args):
-    report = verify_theorem(
-        args.terms, workers=args.workers, depth_cap=args.max_depth
-    )
+    result = _search_result(verify_theorem(args.terms, workers=args.workers))
     plain = [
-        f"optimum {format_rational(report.optimum_sum)}",
+        f"optimum {result['optimum_sum']}",
         "unique optimum = sylvester prefix",
-        f"nodes explored {report.nodes_explored}",
+        f"nodes explored {result['nodes_explored']}",
     ]
-    return _search_result(report), plain, None
+    return result, plain, None
 
 
 def _cmd_prop_check(args):
@@ -339,8 +326,8 @@ def _cmd_prop_check(args):
     }
     plain = [
         f"hypotheses {'true' if hypotheses else 'false'}",
-        f"sum x {format_rational(sum_x)}",
-        f"sum y {format_rational(sum_y)}",
+        f"sum x {result['sum_x']}",
+        f"sum y {result['sum_y']}",
         f"dominates {'true' if dominates else 'false'}",
         f"equal {'true' if equal else 'false'}",
     ]
@@ -372,8 +359,8 @@ def _cmd_muirhead(args):
     }
     plain = [
         f"majorizes {'true' if dominated else 'false'}",
-        f"symmetric sum alpha {format_rational(lhs)}",
-        f"symmetric sum alpha' {format_rational(rhs)}",
+        f"symmetric sum alpha {result['symmetric_sum_alpha']}",
+        f"symmetric sum alpha' {result['symmetric_sum_alpha_prime']}",
         f"dominates {'true' if lhs >= rhs else 'false'}",
     ]
     failure = None
@@ -408,8 +395,8 @@ def _cmd_fuzz(args):
         plain = [
             f"counterexample at trial {counterexample.trial} "
             f"({counterexample.kind})",
-            "x " + ",".join(format_rational(v) for v in inst.x),
-            "y " + ",".join(format_rational(v) for v in inst.y),
+            "x " + ",".join(ce_dict["x"]),
+            "y " + ",".join(ce_dict["y"]),
         ]
     result = {
         "trials": args.trials,
@@ -463,8 +450,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "config": _config_dict(args),
         "result": result,
     }
-    rendered = render_report(report)
     if args.output is not None:
+        rendered = render_report(report)
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
@@ -477,7 +464,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 1
     try:
         if args.format == "structured" and args.output is None:
-            sys.stdout.write(rendered)
+            sys.stdout.write(render_report(report))
         else:
             for line in plain:
                 print(line)

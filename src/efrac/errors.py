@@ -62,7 +62,7 @@ class HypothesesViolated(EfracError):
 
 
 class DepthCapExceeded(EfracError):
-    """Requested search depth beyond the configured exhaustive-search cap."""
+    """Requested search depth beyond the fixed exhaustive-search cap."""
 
     code = "DepthCapExceeded"
 

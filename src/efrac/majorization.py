@@ -47,6 +47,7 @@ from .errors import (
 # Symmetric sums enumerate all permutations, so the width must stay tiny.
 MAX_SYMMETRIC_VALUES = 8
 MAX_SYMMETRIC_BITS = 1 << 14  # on their integers' size; see symmetric_sum
+MAX_SYMMETRIC_WORK = 1 << 24  # on all m! products together; see symmetric_sum
 
 # Entries p/q as integer pairs (p, q) with q > 0; see the module docstring.
 Pairs = Sequence[tuple[int, int]]
@@ -237,8 +238,10 @@ def symmetric_sum(alpha: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     With the all-zero exponent vector every permutation contributes 1,
     so the result is m factorial. Exponents may be negative; values must
     be nonzero for that to make sense and positive in the intended use.
-    More than MAX_SYMMETRIC_VALUES values, or integers that could exceed
-    MAX_SYMMETRIC_BITS bits, raise CapExceeded before any work is done.
+    More than MAX_SYMMETRIC_VALUES values, integers that could exceed
+    MAX_SYMMETRIC_BITS bits, or m! products that could exceed
+    MAX_SYMMETRIC_WORK bits together raise CapExceeded before any work is
+    done.
     """
     if len(alpha) != len(values):
         raise LengthMismatch(
@@ -256,8 +259,14 @@ def symmetric_sum(alpha: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     lo, hi = min((0, *alpha)), max((0, *alpha))
     # Every factor, and the denominator per value, is under 2**((hi - lo) * width)
     width = max((max(p.bit_length(), q.bit_length()) for p, q in pairs), default=0)
-    if m * (hi - lo) * width + math.factorial(m).bit_length() > MAX_SYMMETRIC_BITS:
+    bits, count = m * (hi - lo) * width, math.factorial(m)
+    if bits + count.bit_length() > MAX_SYMMETRIC_BITS:
         raise CapExceeded(f"symmetric sums are capped at {MAX_SYMMETRIC_BITS} bits")
+    if count * bits > MAX_SYMMETRIC_WORK:
+        raise CapExceeded(
+            f"symmetric sums are capped at {MAX_SYMMETRIC_WORK} bits over all "
+            f"{count} permutation products"
+        )
     cols = [tuple(p ** (a - lo) * q ** (hi - a) for p, q in pairs) for a in alpha]
     total = sum(
         math.prod(map(tuple.__getitem__, cols, perm))
@@ -277,8 +286,8 @@ class PropositionCounterexample:
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
     # Seeding with a string hashes all of it deterministically, so each
-    # trial gets an independent stream regardless of how trials are split
-    # across workers or reordered.
+    # trial's stream depends only on (seed, trial), never on the trials
+    # drawn before it.
     return random.Random(f"{seed}:{trial}")
 
 

@@ -32,21 +32,31 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   the deficit of any i-term underapproximation of a gap P/D with
   D <= Q, by the same split at 2iD/P: a first term above it leaves a
   deficit over P/(2D) >= 1/(2Q), one at or below it leaves a gap whose
-  denominator is at most 2iD^2/P <= 2iQ^2. Each Phi_i is nonincreasing
-  in Q, and reducing the child gap only lowers its Q, so the unreduced
-  q' is safe. The node skips a iff p'/(2q') > G and
-  Phi_{j-1}(2jq'^2/p') > G; both are strict, so ties survive.
+  denominator is at most 2iD^2/P <= 2iQ^2. In closed form
+  Phi_i(Q) = 1/Q_i, where Q_0 = Q and Q_{l+1} = 2(i - l) Q_l^2: Q >= 1
+  gives Q_{l+1} >= 2 Q_l, so 1/(2 Q_l) >= 1/Q_{l+1} >= 1/Q_i and the
+  recursive min is always attained at its last level. Once
+  1/(2 Q_l) <= G the floor cannot exceed G, so stopping there is only
+  a shortcut. Each Phi_i is nonincreasing in Q, and reducing the child
+  gap only lowers its Q, so the unreduced q' is safe. For the same
+  reason Q = 2jq'^2/p', which exceeds 2j because q' > p', is rounded up
+  to its integer ceiling: that only weakens the cut, and every Q_l is
+  then an integer. The node skips a iff p'/(2q') > G and
+  Phi_{j-1}(ceil(2jq'^2/p')) > G; both are strict, so ties survive.
   The skipped a form one interval: p'/(2q') = p/(2q) - 1/(2a) grows
-  with a, and 2jq'^2/p' = 2jq^2a^2/(pa - q) is convex for pa > q, so the
-  second condition holds on a sublevel interval of it. A node therefore
-  tests its b and its hi: if both are cut it returns, and if only b is,
-  b jumps to the first uncut value, found by integer bisection. G
-  shrinks as t grows, so this is redone with hi after each child.
+  with a, and 2jq'^2/p' = 2jq^2a^2/(pa - q) is convex for pa > q. Phi
+  is nonincreasing and ceil is monotone, so the second condition holds
+  exactly where 2jq'^2/p' is at most the largest integer N with
+  Phi_{j-1}(N) > G: still a sublevel interval of the convex function.
+  A node therefore tests its b and its hi: if both are cut it returns,
+  and if only b is, b jumps to the first uncut value, found by integer
+  bisection. G shrinks as t grows, so this is redone with hi after each
+  child.
 
-All of this runs on integers: the prefix sum, the incumbent, the gap, the
-room t - s and Q are carried as (numerator, denominator) pairs, lo and
-hi come from floor division and every comparison is a cross
-multiplication. Only the gap is reduced to lowest terms.
+All of this runs on integers: the prefix sum, the incumbent, the gap and
+the room t - s are carried as (numerator, denominator) pairs, Q as one
+integer, lo and hi come from floor division and every comparison is a
+cross multiplication. Only the gap is reduced to lowest terms.
 
 Ties with the incumbent are collected, never discarded, so the search
 reports the full optimum set. The tree is split at depth
@@ -84,7 +94,8 @@ from .rationals import (
 )
 from .sylvester import sylvester
 
-DEFAULT_DEPTH_CAP = 12
+# The largest K whose cold `ef verify --terms K` stays under 1 s.
+MAX_DEPTH = 13
 DEFAULT_SPLIT_DEPTH = 2
 
 
@@ -124,13 +135,13 @@ def greedy_underapprox(target: Union[Fraction, int], k: int) -> DenominatorTuple
     return DenominatorTuple(tuple(terms))
 
 
-def _floor_exceeds(i: int, qn: int, qd: int, en: int, ed: int) -> bool:
-    """Whether Phi_i(qn/qd) > en/ed, stopping at the first min that fails."""
+def _floor_exceeds(i: int, Q: int, en: int, ed: int) -> bool:
+    """Whether Phi_i(Q) = 1/Q_i > en/ed, stopping once 1/(2 Q_l) <= en/ed."""
     for level in range(i, 0, -1):
-        if qd * ed <= 2 * qn * en:
+        if ed <= 2 * Q * en:
             return False
-        qn, qd = 2 * level * qn * qn, qd * qd
-    return qd * ed > qn * en
+        Q = 2 * level * Q * Q
+    return ed > Q * en
 
 
 def _cut(p: int, q: int, a: int, j: int, en: int, ed: int) -> bool:
@@ -138,7 +149,7 @@ def _cut(p: int, q: int, a: int, j: int, en: int, ed: int) -> bool:
     it by more than en/ed."""
     cn, cd = p * a - q, q * a
     return cn * ed > 2 * cd * en and _floor_exceeds(
-        j - 1, 2 * j * cd * cd, cn, en, ed
+        j - 1, -(-2 * j * cd * cd // cn), en, ed
     )
 
 
@@ -216,10 +227,10 @@ def _walk(
     return Fraction(bn, bd), cands, frontier, nodes
 
 
-def _check_depth(k: int, depth_cap: int) -> None:
-    if k > depth_cap:
+def _check_depth(k: int) -> None:
+    if k > MAX_DEPTH:
         raise DepthCapExceeded(
-            f"k = {k} exceeds the exhaustive-search depth cap {depth_cap}"
+            f"k = {k} exceeds the exhaustive-search depth cap {MAX_DEPTH}"
         )
 
 
@@ -229,7 +240,6 @@ def best_tuples(
     *,
     incumbent_threshold: Optional[Fraction] = None,
     workers: int = 1,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> OptimalityReport:
     """Enumerate every k-term tuple whose sum attains the maximum below target.
 
@@ -245,7 +255,7 @@ def best_tuples(
         raise ValueError(f"target must be in (0, 1], got {target}")
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
-    _check_depth(k, depth_cap)
+    _check_depth(k)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
@@ -307,28 +317,17 @@ def best_tuples(
     return OptimalityReport(problem, optima, optimum, nodes, matches)
 
 
-def verify_theorem(
-    k: int,
-    *,
-    workers: int = 1,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> OptimalityReport:
+def verify_theorem(k: int, *, workers: int = 1) -> OptimalityReport:
     """Exhaustively confirm the k-term optimum is the Sylvester prefix.
 
     Seeds the search with the Sylvester sum itself (which the shortfall
     identity pins at 1 - 1/(running product)) and demands that the optimum
     set is exactly the Sylvester prefix at exactly that sum.
     """
-    _check_depth(k, depth_cap)
+    _check_depth(k)
     prefix = sylvester(k)
     threshold = ONE - Fraction(1, prefix.running_product)
-    report = best_tuples(
-        k,
-        ONE,
-        incumbent_threshold=threshold,
-        workers=workers,
-        depth_cap=depth_cap,
-    )
+    report = best_tuples(k, ONE, incumbent_threshold=threshold, workers=workers)
     if report.optimum_sum != threshold:
         raise VerificationFailed(
             f"optimum sum {report.optimum_sum} differs from the Sylvester "

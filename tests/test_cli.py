@@ -12,7 +12,7 @@ import pytest
 
 from efrac import cli, sylvester
 from efrac.cli import render_report, run
-from efrac.search import DEFAULT_DEPTH_CAP
+from efrac.search import MAX_DEPTH
 from tests.conftest import int_str_limit, needs_int_str_limit
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -76,6 +76,34 @@ class TestPlainOutput:
         code, out, _ = invoke(capsys, "certify", "--tuple", "2,3,7,43")
         assert code == 0
         assert "equality yes" in out
+
+    def test_plain_certify_renders_no_certificate(self, capsys, monkeypatch):
+        # the plain lines print no certificate field, so the certificate
+        # is rendered only into a structured report
+        def refuse(cert):
+            raise AssertionError("certificate rendered for plain output")
+
+        monkeypatch.setattr(cli, "certificate_to_dict", refuse)
+        code, out, err = invoke(capsys, "certify", "--tuple", "2,3,9,42")
+        assert (code, err) == (0, "")
+        assert out.endswith("\ncertificate valid\n")
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_certify_formats_each_sum_once(self, capsys, monkeypatch, fmt):
+        # a sum of a long tuple takes seconds to format in decimal
+        real = cli.format_rational
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cli, "format_rational", counting)
+        code, _, _ = invoke(
+            capsys, "certify", "--tuple", "2,3,9,42", "--format", fmt
+        )
+        assert code == 0
+        assert len(calls) == 2  # the tuple's sum and the Sylvester sum
 
     def test_search_with_ties(self, capsys):
         code, out, _ = invoke(
@@ -164,18 +192,14 @@ class TestErrorPaths:
         assert err.startswith("error:InvalidInput:")
 
     def test_depth_cap(self, capsys):
-        code, _, err = invoke(
-            capsys, "search", "--terms", str(DEFAULT_DEPTH_CAP + 1)
-        )
-        assert code == 1
-        assert err.startswith("error:DepthCapExceeded:")
-
-    def test_raised_depth_cap_allows_the_run(self, capsys):
-        code, out, _ = invoke(
-            capsys, "verify", "--terms", "6", "--max-depth", "9", "--workers", "4"
-        )
-        assert code == 0
-        assert out.splitlines()[0] == "optimum 10650056950805/10650056950806"
+        # refused from k alone, before the search or the Sylvester prefix,
+        # so the term budget of 22 is never reached
+        for command in ("search", "verify"):
+            for k in (MAX_DEPTH + 1, 23, 40, 65):
+                code, out, err = invoke(capsys, command, "--terms", str(k))
+                assert (code, out) == (1, "")
+                assert len(err.splitlines()) == 1
+                assert err.startswith("error:DepthCapExceeded:")
 
     def test_muirhead_length_mismatch(self, capsys):
         code, _, err = invoke(
@@ -187,25 +211,32 @@ class TestErrorPaths:
         assert err.startswith("error:LengthMismatch:")
 
     def test_muirhead_bit_budget_ends_at_once(self, capsys):
-        code, out, err = invoke(
-            capsys,
-            "muirhead", "--alpha", "2000000", "--alpha-prime", "2000000",
-            "--values", "3/2",
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("error:CapExceeded:")
+        # one huge power, and eight values whose 8! products are each
+        # inside the bit budget but together are not
+        for alpha, values in (
+            ("2000000", "3/2"),
+            ("1023,0,0,0,0,0,0,0", ",".join(["3/2"] * 8)),
+            ("4095,0,0,0,0,0,0,0", ",".join(["3/2"] * 8)),
+        ):
+            code, out, err = invoke(
+                capsys,
+                "muirhead", "--alpha", alpha, "--alpha-prime", alpha,
+                "--values", values,
+            )
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error:CapExceeded:")
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("certify", "--tuple", ",".join(["31"] * 30)),
             ("sylvester", "--terms", "23"),
-            ("verify", "--terms", "23", "--max-depth", "30"),
         ],
-        ids=["certify", "sylvester", "verify"],
+        ids=["certify", "sylvester"],
     )
     def test_term_cap_ends_at_once(self, capsys, argv):
-        # each would need the 23- or 30-term Sylvester prefix, which is
+        # each would need the 30- or 23-term Sylvester prefix, which is
         # refused from k alone before any of it is built
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
@@ -213,11 +244,13 @@ class TestErrorPaths:
         assert err.startswith("error:CapExceeded:")
 
     def test_removed_term_cap_flag_is_a_usage_error(self, capsys):
-        code, out, err = invoke(
-            capsys, "sylvester", "--terms", "3", "--max-terms", "5"
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("error:Usage: unrecognized arguments: --max-terms")
+        for command, flag, value in (
+            ("sylvester", "--max-terms", "5"),
+            ("verify", "--max-depth", "13"),
+        ):
+            code, out, err = invoke(capsys, command, "--terms", "3", flag, value)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error:Usage: unrecognized arguments: {flag}")
 
     def test_missing_required_flag(self, capsys):
         code, _, err = invoke(capsys, "search")
@@ -408,9 +441,7 @@ class TestGoldenReports:
         "sylvester": ("sylvester", "--terms", "5"),
         "sum": ("sum", "--tuple", "2,3,9,42"),
         "certify": ("certify", "--tuple", "2,3,9,42"),
-        "search": (
-            "search", "--terms", "3", "--target", "12/13", "--max-depth", "5"
-        ),
+        "search": ("search", "--terms", "3", "--target", "12/13"),
         "verify": ("verify", "--terms", "4", "--workers", "2"),
         "prop-check": ("prop-check", "--x", "1/7,1/43", "--y", "1/9,1/42"),
         "muirhead": (

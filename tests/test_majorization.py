@@ -34,7 +34,12 @@ from efrac.errors import (
     InvalidInstance,
     LengthMismatch,
 )
-from efrac.majorization import MAX_SYMMETRIC_BITS, _trial_rng, prefix_dominates
+from efrac.majorization import (
+    MAX_SYMMETRIC_BITS,
+    MAX_SYMMETRIC_WORK,
+    _trial_rng,
+    prefix_dominates,
+)
 from tests.conftest import majorization_instances
 
 F = Fraction
@@ -211,6 +216,16 @@ class TestSymmetricSum:
             symmetric_sum((a + 1,), (F(3, 2),))
         with pytest.raises(CapExceeded):
             symmetric_sum((10**12, 0), (F(3, 2), F(5)))
+
+    def test_work_budget_counts_every_permutation(self):
+        # eight values 3/2 and one exponent a: 8! products of at most
+        # 8 * a * 2 bits each
+        a = MAX_SYMMETRIC_WORK // (math.factorial(8) * 16)
+        values = (F(3, 2),) * 8
+        expected = math.factorial(8) * F(3**a, 2**a)
+        assert symmetric_sum((a,) + (0,) * 7, values) == expected
+        with pytest.raises(CapExceeded, match="permutation products"):
+            symmetric_sum((a + 1,) + (0,) * 7, values)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

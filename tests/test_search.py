@@ -1,6 +1,7 @@
 """Greedy construction and the exhaustive branch-and-bound enumerator."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from efrac import (
     verify_theorem,
 )
 from efrac.errors import DepthCapExceeded
-from efrac.search import DEFAULT_DEPTH_CAP, _floor_exceeds, _walk
+from efrac.search import MAX_DEPTH, _floor_exceeds, _walk
 
 F = Fraction
 
@@ -96,10 +97,9 @@ class TestBestTuples:
         assert report.optimum_sum is None
 
     def test_depth_cap(self):
-        with pytest.raises(DepthCapExceeded):
-            best_tuples(DEFAULT_DEPTH_CAP + 1)
-        report = best_tuples(5, depth_cap=5)
-        assert report.matches_sylvester
+        for k in (MAX_DEPTH + 1, 23, 40, 65):
+            with pytest.raises(DepthCapExceeded):
+                best_tuples(k)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -132,8 +132,10 @@ class TestBestTuples:
             (4, F(7, 10), 29),
             (4, F(9, 13), 34),
             (4, F(12, 13), 30),
+            # the integer ceiling of the floor's Q weakens one cut here
+            (4, F(5, 8), 33),
         ],
-        ids=["3-7/10", "3-11/13", "4-7/10", "4-9/13", "4-12/13"],
+        ids=["3-7/10", "3-11/13", "4-7/10", "4-9/13", "4-12/13", "4-5/8"],
     )
     def test_pinned_node_counts(self, k, target, nodes):
         # a change to the explored node set must show up here as a diff
@@ -278,8 +280,33 @@ class TestClosingStep:
             best = linear_reference(j, gap)[0] if j else F(0)
             deficit = gap - best
             assert not _floor_exceeds(
-                j, gap.denominator, 1, deficit.numerator, deficit.denominator
+                j, gap.denominator, deficit.numerator, deficit.denominator
             ), (j, gap)
+
+    def test_closed_form_floor_against_the_recursive_min(self):
+        # Phi_0(Q) = 1/Q and Phi_i(Q) = min(1/(2Q), Phi_{i-1}(2iQ^2)) over
+        # Fractions; the closed form on ceil(Q) may only be weaker, and at
+        # an integer Q it must agree exactly
+        def phi(i, q):
+            if i == 0:
+                return 1 / q
+            return min(1 / (2 * q), phi(i - 1, 2 * i * q * q))
+
+        rng = random.Random("floor")
+        for _ in range(3000):
+            i = rng.randint(0, 4)
+            den = rng.choice((1, rng.randint(1, 50)))
+            q = F(rng.randint(den, 60 * den), den)
+            g = F(1, rng.randint(1, 10 ** rng.randint(1, 30))) * F(
+                rng.randint(1, 9), rng.randint(1, 9)
+            )
+            g = rng.choice((g, g, phi(i, q)))  # ties must not count
+            got = _floor_exceeds(i, math.ceil(q), g.numerator, g.denominator)
+            expected = phi(i, q) > g
+            if q.denominator == 1:
+                assert got == expected, (i, q, g)
+            elif got:
+                assert expected, (i, q, g)
 
 
 class TestCompleteness:
@@ -342,8 +369,10 @@ class TestVerifyTheorem:
         assert [t.terms for t in report.optima] == [sylvester(k).terms]
 
     def test_pinned_node_counts(self):
-        nodes = [verify_theorem(k).nodes_explored for k in range(1, 9)]
-        assert nodes == [1, 2, 6, 14, 41, 107, 308, 465]
+        nodes = [verify_theorem(k).nodes_explored for k in range(1, MAX_DEPTH + 1)]
+        assert nodes == [
+            1, 2, 6, 14, 41, 107, 308, 465, 840, 1541, 2409, 3819, 6455
+        ]
 
     def test_depth_cap_comes_before_the_sylvester_prefix(self, monkeypatch):
         # the prefix grows doubly exponentially, so refusing a k above
@@ -355,10 +384,9 @@ class TestVerifyTheorem:
             return sylvester(k)
 
         monkeypatch.setattr("efrac.search.sylvester", recording)
-        cap = DEFAULT_DEPTH_CAP
-        for k, depth_cap in ((cap + 1, cap), (40, cap), (65, cap), (6, 5)):
+        for k in (MAX_DEPTH + 1, 23, 40, 65):
             with pytest.raises(DepthCapExceeded):
-                verify_theorem(k, depth_cap=depth_cap)
+                verify_theorem(k)
         assert built == []
         assert verify_theorem(3).matches_sylvester
         assert set(built) == {3}
