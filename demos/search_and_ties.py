@@ -58,16 +58,6 @@ def main():
         2, target
     ).optimum_sum
     print("[OK] greedy never beat the enumerator, and lost outright at k=2")
-    print()
-
-    print("=== determinism across worker counts ===")
-    seq = best_tuples(5)
-    par = best_tuples(5, workers=8)
-    assert seq == par
-    print(
-        f"[OK] 1 worker and 8 workers agree exactly "
-        f"({seq.nodes_explored} nodes either way)"
-    )
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ bounded counters (k, ell, nodes, trials, seeds) stay native. The emitted
 config carries only the settings that affect the mathematical result and
 that the result does not already show: the seed for ``fuzz``, and nothing
 for the other commands, whose search depth and Sylvester budget are fixed.
-It never carries execution details like the worker count, so reports from
-any worker split compare equal byte for byte.
+The search is one deterministic pass, so two runs of one command give
+reports equal byte for byte.
 """
 
 from __future__ import annotations
@@ -101,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the structured report to PATH and a summary to stdout",
     )
-    searching = argparse.ArgumentParser(add_help=False)
-    searching.add_argument("--workers", type=_positive_int, default=1, metavar="N")
 
     parser = _Parser(
         prog="ef",
@@ -130,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "search",
-        parents=[common, searching],
+        parents=[common],
         help="exhaustively enumerate the best K-term tuples below a target",
     )
     p.add_argument("--terms", type=_nonneg_int, required=True, metavar="K")
@@ -138,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common, searching],
+        parents=[common],
         help="confirm the K-term optimum is exactly the Sylvester prefix",
     )
     p.add_argument("--terms", type=_nonneg_int, required=True, metavar="K")
@@ -267,12 +265,14 @@ def _cmd_certify(args):
     check = validate_certificate(cert)
     total = sum_reciprocals(cert.terms)
     bound = ONE - Fraction(1, sylvester(len(cert.terms)).running_product)
+    total_text = format_rational(total)
     result = {
         "certificate": cert,
         "valid": check.ok,
         "reason": check.reason,
-        "sum": format_rational(total),
-        "sylvester_sum": format_rational(bound),
+        "sum": total_text,
+        # equal on the Sylvester prefix, where formatting costs most
+        "sylvester_sum": total_text if total == bound else format_rational(bound),
         "is_equality": cert.is_equality,
     }
     plain = [
@@ -288,7 +288,7 @@ def _cmd_certify(args):
 
 def _cmd_search(args):
     target = parse_rational(args.target)
-    report = best_tuples(args.terms, target, workers=args.workers)
+    report = best_tuples(args.terms, target)
     result = _search_result(report)
     # the report's optimum_sum is None when no tuple fits below the target
     plain = [f"optimum {result['optimum_sum'] or 'none'}"]
@@ -298,7 +298,7 @@ def _cmd_search(args):
 
 
 def _cmd_verify(args):
-    result = _search_result(verify_theorem(args.terms, workers=args.workers))
+    result = _search_result(verify_theorem(args.terms))
     plain = [
         f"optimum {result['optimum_sum']}",
         "unique optimum = sylvester prefix",

@@ -59,27 +59,19 @@ integer, lo and hi come from floor division and every comparison is a
 cross multiplication. Only the gap is reduced to lowest terms.
 
 Ties with the incumbent are collected, never discarded, so the search
-reports the full optimum set. The tree is split at depth
-d = min(2, k - 1): one pass lists the admissible prefixes of length d,
-then each prefix's subtree is explored against the seed threshold with
-local tightening only, in this process or in a worker. The prefix pass
-reaches no leaf and never tightens, so the explored node set is a pure
-function of the problem, and reports are byte-identical for any worker
-count.
+reports the full optimum set. The search is one depth-first pass from
+the root with one incumbent that tightens at every leaf, so the explored
+node set is a pure function of the problem.
 
-With no leaf to lift t, the prefix pass would lose prefixes at a node
-with t <= s. The seed is therefore t = max(given threshold, g), where g
-is the greedy k-term sum, and every node that pass expands has s < g:
-at the root s = 0 < g; at depth 1, expanded only when d = 2 and so
-k >= 3, s = 1/b1 <= 1/g1 < g, since b1 >= lo = g1, the greedy first
-term, and g adds further positive terms to 1/g1.
+The incumbent starts at t = max(given threshold, g), where g is the
+greedy k-term sum. That is a cheaper start, not a soundness condition:
+from any lower t the walk reseeds itself by the t <= s rule above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Optional, Sequence, Union
 
@@ -94,9 +86,10 @@ from .rationals import (
 )
 from .sylvester import sylvester
 
-# The largest K whose cold `ef verify --terms K` stays under 1 s.
+# The largest K whose cold `ef verify --terms K` stays under 1 s. The rule
+# is measured on target 1 only: a small target at the cap costs far more
+# (the README's `search` section gives figures).
 MAX_DEPTH = 13
-DEFAULT_SPLIT_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -154,34 +147,22 @@ def _cut(p: int, q: int, a: int, j: int, en: int, ed: int) -> bool:
 
 
 def _walk(
-    k: int,
-    target: Fraction,
-    threshold: Fraction,
-    stop: int,
-    prefix: tuple[int, ...],
-    prefix_sum: Fraction,
-) -> tuple[
-    Fraction, list[tuple[int, ...]], list[tuple[tuple[int, ...], Fraction]], int
-]:
-    """Explore the completions of a prefix, cutting every branch at depth stop.
+    k: int, target: Fraction, threshold: Fraction
+) -> tuple[Fraction, list[tuple[int, ...]], int]:
+    """Explore every k-term tuple below target, depth first from the root.
 
-    Returns (final local best, tuples attaining it inclusively of the
-    starting threshold, admissible prefixes of length stop in order, nodes
-    explored). The incumbent tightens only at leaves. Pure function of its
-    arguments.
+    Returns (final best, tuples attaining it inclusively of the starting
+    threshold, nodes explored). The incumbent tightens at every leaf.
+    Pure function of its arguments.
     """
     tn, td = target.numerator, target.denominator
     bn, bd = threshold.numerator, threshold.denominator
     cands: list[tuple[int, ...]] = []
-    frontier: list[tuple[tuple[int, ...], Fraction]] = []
     nodes = 0
 
     def rec(pref: tuple[int, ...], sn: int, sd: int) -> None:
         # the prefix sum is sn/sd and the incumbent bn/bd, neither reduced
         nonlocal bn, bd, cands, nodes
-        if len(pref) == stop:
-            frontier.append((pref, Fraction(sn, sd)))
-            return
         m = k - len(pref)
         p, q = tn * sd - sn * td, td * sd
         g = gcd(p, q)
@@ -223,8 +204,8 @@ def _walk(
             rec(pref + (b,), cn, cd)
             b += 1
 
-    rec(prefix, prefix_sum.numerator, prefix_sum.denominator)
-    return Fraction(bn, bd), cands, frontier, nodes
+    rec((), 0, 1)
+    return Fraction(bn, bd), cands, nodes
 
 
 def _check_depth(k: int) -> None:
@@ -239,7 +220,6 @@ def best_tuples(
     target: Union[Fraction, int] = ONE,
     *,
     incumbent_threshold: Optional[Fraction] = None,
-    workers: int = 1,
 ) -> OptimalityReport:
     """Enumerate every k-term tuple whose sum attains the maximum below target.
 
@@ -256,8 +236,6 @@ def best_tuples(
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
     _check_depth(k)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
     greedy_sum = sum_reciprocals(greedy_underapprox(target, k))
     if incumbent_threshold is None:
@@ -281,30 +259,11 @@ def best_tuples(
             bool(optima) and target == ONE,
         )
 
-    seed = max(threshold, greedy_sum)
-    depth = min(DEFAULT_SPLIT_DEPTH, k - 1)
-    _, _, frontier, nodes = _walk(k, target, seed, depth, (), ZERO)
-    prefixes = [pref for pref, _ in frontier]
-    sums = [s for _, s in frontier]
-    job = partial(_walk, k, target, seed, k)
-    if workers == 1 or len(frontier) <= 1:
-        results = list(map(job, prefixes, sums))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, prefixes, sums))
-
-    all_cands: list[tuple[Fraction, tuple[int, ...]]] = []
-    for local_best, local_cands, _, local_nodes in results:
-        nodes += local_nodes
-        all_cands.extend((local_best, cand) for cand in local_cands)
-
-    if not all_cands:
+    optimum, cands, nodes = _walk(k, target, max(threshold, greedy_sum))
+    if not cands:
         return OptimalityReport(problem, (), None, nodes, False)
 
-    optimum = max(value for value, _ in all_cands)
-    optima_terms = sorted(cand for value, cand in all_cands if value == optimum)
+    optima_terms = sorted(cands)
     for cand in optima_terms:
         tup = validate_tuple(cand, target)
         if sum_reciprocals(tup) != optimum:
@@ -317,7 +276,7 @@ def best_tuples(
     return OptimalityReport(problem, optima, optimum, nodes, matches)
 
 
-def verify_theorem(k: int, *, workers: int = 1) -> OptimalityReport:
+def verify_theorem(k: int) -> OptimalityReport:
     """Exhaustively confirm the k-term optimum is the Sylvester prefix.
 
     Seeds the search with the Sylvester sum itself (which the shortfall
@@ -327,7 +286,7 @@ def verify_theorem(k: int, *, workers: int = 1) -> OptimalityReport:
     _check_depth(k)
     prefix = sylvester(k)
     threshold = ONE - Fraction(1, prefix.running_product)
-    report = best_tuples(k, ONE, incumbent_threshold=threshold, workers=workers)
+    report = best_tuples(k, ONE, incumbent_threshold=threshold)
     if report.optimum_sum != threshold:
         raise VerificationFailed(
             f"optimum sum {report.optimum_sum} differs from the Sylvester "

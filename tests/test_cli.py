@@ -88,22 +88,33 @@ class TestPlainOutput:
         assert (code, err) == (0, "")
         assert out.endswith("\ncertificate valid\n")
 
-    @pytest.mark.parametrize("fmt", ["plain", "structured"])
-    def test_certify_formats_each_sum_once(self, capsys, monkeypatch, fmt):
+    @pytest.mark.parametrize(
+        "fmt,terms,calls",
+        [
+            # the tuple's sum and the Sylvester sum
+            ("plain", "2,3,9,42", 2),
+            ("structured", "2,3,9,42", 2),
+            # on the Sylvester prefix the two sums are equal
+            ("plain", "2,3,7,43", 1),
+            ("structured", "2,3,7,43", 1),
+        ],
+        ids=["plain", "structured", "plain-prefix", "structured-prefix"],
+    )
+    def test_certify_formats_each_sum_once(
+        self, capsys, monkeypatch, fmt, terms, calls
+    ):
         # a sum of a long tuple takes seconds to format in decimal
         real = cli.format_rational
-        calls = []
+        formatted = []
 
         def counting(value):
-            calls.append(value)
+            formatted.append(value)
             return real(value)
 
         monkeypatch.setattr(cli, "format_rational", counting)
-        code, _, _ = invoke(
-            capsys, "certify", "--tuple", "2,3,9,42", "--format", fmt
-        )
+        code, _, _ = invoke(capsys, "certify", "--tuple", terms, "--format", fmt)
         assert code == 0
-        assert len(calls) == 2  # the tuple's sum and the Sylvester sum
+        assert len(formatted) == calls
 
     def test_search_with_ties(self, capsys):
         code, out, _ = invoke(
@@ -247,6 +258,8 @@ class TestErrorPaths:
         for command, flag, value in (
             ("sylvester", "--max-terms", "5"),
             ("verify", "--max-depth", "13"),
+            ("search", "--workers", "2"),
+            ("verify", "--workers", "2"),
         ):
             code, out, err = invoke(capsys, command, "--terms", "3", flag, value)
             assert (code, out) == (1, "")
@@ -412,16 +425,6 @@ class TestStructuredOutput:
         assert cert["b_product"] == "924"
         assert cert["a_product"] == "1806"
 
-    def test_worker_count_never_reaches_the_report(self, capsys):
-        _, one, _ = invoke(
-            capsys, "verify", "--terms", "4", "--format", "structured"
-        )
-        _, four, _ = invoke(
-            capsys,
-            "verify", "--terms", "4", "--workers", "4", "--format", "structured",
-        )
-        assert one == four
-
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = invoke(
@@ -442,7 +445,7 @@ class TestGoldenReports:
         "sum": ("sum", "--tuple", "2,3,9,42"),
         "certify": ("certify", "--tuple", "2,3,9,42"),
         "search": ("search", "--terms", "3", "--target", "12/13"),
-        "verify": ("verify", "--terms", "4", "--workers", "2"),
+        "verify": ("verify", "--terms", "4"),
         "prop-check": ("prop-check", "--x", "1/7,1/43", "--y", "1/9,1/42"),
         "muirhead": (
             "muirhead", "--alpha", "4,1", "--alpha-prime", "3,2", "--values", "2,3"
@@ -482,21 +485,6 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "optimum 5/6"
-
-    def test_cli_import_leaves_the_process_pool_out(self):
-        # only --workers > 1 needs it, and it costs a cold start ~10 ms
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, efrac.cli; "
-                "print('concurrent.futures.process' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
 
     def test_help_exits_zero(self):
         proc = subprocess.run(
