@@ -32,29 +32,36 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   the deficit of any i-term underapproximation of a gap P/D with
   D <= Q, by the same split at 2iD/P: a first term above it leaves a
   deficit over P/(2D) >= 1/(2Q), one at or below it leaves a gap whose
-  denominator is at most 2iD^2/P <= 2iQ^2. In closed form
-  Phi_i(Q) = 1/Q_i, where Q_0 = Q and Q_{l+1} = 2(i - l) Q_l^2: Q >= 1
-  gives Q_{l+1} >= 2 Q_l, so 1/(2 Q_l) >= 1/Q_{l+1} >= 1/Q_i and the
-  recursive min is always attained at its last level. Once
-  1/(2 Q_l) <= G the floor cannot exceed G, so stopping there is only
-  a shortcut. Each Phi_i is nonincreasing in Q, and reducing the child
-  gap only lowers its Q, so the unreduced q' is safe. For the same
-  reason Q = 2jq'^2/p', which exceeds 2j because q' > p', is rounded up
-  to its integer ceiling: that only weakens the cut, and every Q_l is
-  then an integer. The node skips a iff p'/(2q') > G and
-  Phi_{j-1}(ceil(2jq'^2/p')) > G; both are strict, so ties survive.
+  denominator is at most 2iD^2/P <= 2iQ^2. Each Phi_i is nonincreasing
+  in Q, and reducing the child gap only lowers its Q, so the unreduced
+  q' is safe, and so is rounding Q = 2jq'^2/p' up to its integer
+  ceiling, which only weakens the cut. The node skips a iff
+  p'/(2q') > G and Phi_{j-1}(ceil(2jq'^2/p')) > G; both are strict, so
+  ties survive. The second condition says ceil(2jq'^2/p') <= N, the
+  largest integer with Phi_{j-1}(N) > G, and N depends only on j and the
+  incumbent. For integers Q >= 1 it is found by isqrt:
+  - Phi_i(Q) = 1/Q_i, where Q_0 = Q and Q_{l+1} = 2(i - l) Q_l^2: Q_l >= 1
+    gives Q_{l+1} >= 2 Q_l, so 1/(2 Q_l) >= 1/Q_{l+1} >= 1/Q_i and the
+    recursive min is attained at its last level;
+  - 1/Q_i > G = en/ed iff Q_i * en < ed iff Q_i <= T_0 = (ed - 1) // en;
+  - for integers X, T >= 0, 2cX^2 <= T iff X^2 <= T // (2c) iff
+    X <= isqrt(T // (2c)). The chain Q_{i-c+1} = 2c Q_{i-c}^2 for
+    c = 1, ..., i thus gives Q_i <= T_0 iff Q_{i-1} <= T_1 iff ... iff
+    Q <= T_i, where T_c = isqrt(T_{c-1} // (2c)).
+  So N = T_{j-1}, and since N is an integer, ceil(2jq'^2/p') <= N iff
+  2jq'^2 <= N p'. The walk computes N once per depth and incumbent, and
+  drops it when a leaf raises the incumbent.
   The skipped a form one interval: p'/(2q') = p/(2q) - 1/(2a) grows
-  with a, and 2jq'^2/p' = 2jq^2a^2/(pa - q) is convex for pa > q. Phi
-  is nonincreasing and ceil is monotone, so the second condition holds
-  exactly where 2jq'^2/p' is at most the largest integer N with
-  Phi_{j-1}(N) > G: still a sublevel interval of the convex function.
+  with a, and 2jq'^2/p' = 2jq^2a^2/(pa - q) is convex for pa > q, so
+  the second condition, 2jq'^2/p' <= N, holds on a sublevel interval of
+  the convex function.
   A node therefore tests its b and its hi: if both are cut it returns,
   and if only b is, b jumps to the first uncut value, found by integer
   bisection. G shrinks as t grows, so this is redone with hi after each
   child.
 
 All of this runs on integers: the prefix sum, the incumbent, the gap and
-the room t - s are carried as (numerator, denominator) pairs, Q as one
+the room t - s are carried as (numerator, denominator) pairs, N as one
 integer, lo and hi come from floor division and every comparison is a
 cross multiplication. Only the gap is reduced to lowest terms.
 
@@ -72,8 +79,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Union
+from math import gcd, isqrt
+from typing import Optional, Union
 
 from .errors import DepthCapExceeded, VerificationFailed
 from .rationals import (
@@ -86,10 +93,11 @@ from .rationals import (
 )
 from .sylvester import sylvester
 
-# The largest K whose cold `ef verify --terms K` stays under 1 s. The rule
-# is measured on target 1 only: a small target at the cap costs far more
-# (the README's `search` section gives figures).
-MAX_DEPTH = 13
+# The largest K whose cold `ef verify --terms K` stays under 1 s: on two
+# cores K = 14 takes about 0.4 s and K = 15 just over 1 s. The rule is
+# measured on target 1 only: a small target at the cap costs far more (the
+# README's `search` section gives figures).
+MAX_DEPTH = 14
 
 
 @dataclass(frozen=True)
@@ -128,22 +136,19 @@ def greedy_underapprox(target: Union[Fraction, int], k: int) -> DenominatorTuple
     return DenominatorTuple(tuple(terms))
 
 
-def _floor_exceeds(i: int, Q: int, en: int, ed: int) -> bool:
-    """Whether Phi_i(Q) = 1/Q_i > en/ed, stopping once 1/(2 Q_l) <= en/ed."""
-    for level in range(i, 0, -1):
-        if ed <= 2 * Q * en:
-            return False
-        Q = 2 * level * Q * Q
-    return ed > Q * en
+def _floor_threshold(j: int, en: int, ed: int) -> int:
+    """The largest integer N with Phi_{j-1}(N) > en/ed."""
+    t = (ed - 1) // en
+    for c in range(1, j):
+        t = isqrt(t // (2 * c))
+    return t
 
 
-def _cut(p: int, q: int, a: int, j: int, en: int, ed: int) -> bool:
+def _cut(p: int, q: int, a: int, j: int, en: int, ed: int, n: int) -> bool:
     """Whether every j-term completion of the gap p/q - 1/a falls short of
-    it by more than en/ed."""
+    it by more than en/ed, given n = _floor_threshold(j, en, ed)."""
     cn, cd = p * a - q, q * a
-    return cn * ed > 2 * cd * en and _floor_exceeds(
-        j - 1, -(-2 * j * cd * cd // cn), en, ed
-    )
+    return cn * ed > 2 * cd * en and 2 * j * cd * cd <= n * cn
 
 
 def _walk(
@@ -158,6 +163,7 @@ def _walk(
     tn, td = target.numerator, target.denominator
     bn, bd = threshold.numerator, threshold.denominator
     cands: list[tuple[int, ...]] = []
+    floors: dict[int, int] = {}  # m -> N for the current incumbent
     nodes = 0
 
     def rec(pref: tuple[int, ...], sn: int, sd: int) -> None:
@@ -176,15 +182,18 @@ def _walk(
                 return
             if m > 1:
                 en, ed = tn * bd - bn * td, td * bd
-                if _cut(p, q, b, m - 1, en, ed):
-                    if _cut(p, q, hi, m - 1, en, ed):
+                n = floors.get(m)
+                if n is None:
+                    n = floors[m] = _floor_threshold(m - 1, en, ed)
+                if _cut(p, q, b, m - 1, en, ed, n):
+                    if _cut(p, q, hi, m - 1, en, ed, n):
                         return
                     # the cut values form one interval that holds b but
                     # not hi: bisect for its upper end
                     c = hi
                     while c - b > 1:
                         mid = (b + c) // 2
-                        if _cut(p, q, mid, m - 1, en, ed):
+                        if _cut(p, q, mid, m - 1, en, ed, n):
                             b = mid
                         else:
                             c = mid
@@ -198,6 +207,7 @@ def _walk(
                 if cn * bd > bn * cd:
                     bn, bd = cn, cd
                     cands = [pref + (b,)]
+                    floors.clear()
                 else:  # total == best by the bound derivation
                     cands.append(pref + (b,))
                 return

@@ -16,7 +16,7 @@ from efrac import (
     verify_theorem,
 )
 from efrac.errors import DepthCapExceeded
-from efrac.search import MAX_DEPTH, _floor_exceeds, _walk
+from efrac.search import MAX_DEPTH, _cut, _floor_threshold, _walk
 
 F = Fraction
 
@@ -283,23 +283,18 @@ class TestClosingStep:
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_floor_never_exceeds_the_best_deficit(self, j):
         # Phi_j(q) must stay at or below the deficit of the best j-term
-        # underapproximation of every gap with denominator q
+        # underapproximation of every gap with denominator q, so q lies
+        # above the largest N with Phi_j(N) > deficit
         for gap in reduced_targets(12):
             best = linear_reference(j, gap)[0] if j else F(0)
             deficit = gap - best
-            assert not _floor_exceeds(
-                j, gap.denominator, deficit.numerator, deficit.denominator
-            ), (j, gap)
+            n = _floor_threshold(j + 1, deficit.numerator, deficit.denominator)
+            assert gap.denominator > n, (j, gap)
 
     def test_closed_form_floor_against_the_recursive_min(self):
         # Phi_0(Q) = 1/Q and Phi_i(Q) = min(1/(2Q), Phi_{i-1}(2iQ^2)) over
-        # Fractions; the closed form on ceil(Q) may only be weaker, and at
-        # an integer Q it must agree exactly
-        def phi(i, q):
-            if i == 0:
-                return 1 / q
-            return min(1 / (2 * q), phi(i - 1, 2 * i * q * q))
-
+        # Fractions; the threshold test on ceil(Q) may only be weaker, and
+        # at an integer Q it must agree exactly
         rng = random.Random("floor")
         for _ in range(3000):
             i = rng.randint(0, 4)
@@ -309,12 +304,53 @@ class TestClosingStep:
                 rng.randint(1, 9), rng.randint(1, 9)
             )
             g = rng.choice((g, g, phi(i, q)))  # ties must not count
-            got = _floor_exceeds(i, math.ceil(q), g.numerator, g.denominator)
+            got = math.ceil(q) <= _floor_threshold(i + 1, g.numerator, g.denominator)
             expected = phi(i, q) > g
             if q.denominator == 1:
                 assert got == expected, (i, q, g)
             elif got:
                 assert expected, (i, q, g)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_threshold_is_the_largest_n_above_g(self, j):
+        # N = _floor_threshold(j, G) is the largest integer with
+        # Phi_{j-1}(N) > G; at a tie G = Phi_{j-1}(Q) that is Q - 1
+        for gap in reduced_targets(12):
+            q = gap.denominator
+            spread = [gap * r for r in (1, F(1, 2), F(1, q + 1), F(1, q**3))]
+            spread.append(F(1, 10**12))
+            ties = {Q: phi(j - 1, Q) for Q in (1, 2, q, q + 1, 7 * q)}
+            for g in spread + list(ties.values()):
+                n = _floor_threshold(j, g.numerator, g.denominator)
+                assert n == 0 or phi(j - 1, n) > g, (j, gap, g)
+                assert phi(j - 1, n + 1) <= g, (j, gap, g)
+            for Q, g in ties.items():
+                assert _floor_threshold(j, g.numerator, g.denominator) == Q - 1
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_cut_against_its_definition(self, j):
+        # the cut skips a iff p'/(2q') > G and Phi_{j-1}(ceil(Q)) > G with
+        # Q = 2jq'^2/p' on the unreduced child gap p'/q'; G at
+        # Phi_{j-1}(ceil(Q)) and one step below it puts both sides of the
+        # product test on its boundary
+        for gap in reduced_targets(9):
+            p, q = gap.numerator, gap.denominator
+            for a in range(q // p + 1, q // p + 6):
+                cn, cd = p * a - q, q * a
+                child = F(cn, cd)
+                Q = -(-2 * j * cd * cd // cn)
+                for g in (phi(j - 1, Q), phi(j - 1, Q + 1), child / 3, child):
+                    n = _floor_threshold(j, g.numerator, g.denominator)
+                    got = _cut(p, q, a, j, g.numerator, g.denominator, n)
+                    expected = child / 2 > g and phi(j - 1, Q) > g
+                    assert got == expected, (j, gap, a, g)
+
+
+def phi(i, q):
+    """The recursive deficit floor Phi_i(q) over Fractions."""
+    if i == 0:
+        return 1 / F(q)
+    return min(1 / F(2 * q), phi(i - 1, 2 * i * q * q))
 
 
 class TestCompleteness:
@@ -378,7 +414,8 @@ class TestVerifyTheorem:
     def test_pinned_node_counts(self):
         nodes = [verify_theorem(k).nodes_explored for k in range(1, MAX_DEPTH + 1)]
         assert nodes == [
-            1, 2, 6, 14, 41, 107, 308, 465, 840, 1541, 2409, 3819, 6455
+            1, 2, 6, 14, 41, 107, 308, 465, 840, 1541, 2409, 3819, 6455,
+            15523,
         ]
 
     def test_depth_cap_comes_before_the_sylvester_prefix(self, monkeypatch):
