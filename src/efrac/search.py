@@ -94,7 +94,7 @@ from .rationals import (
 from .sylvester import sylvester
 
 # The largest K whose cold `ef verify --terms K` stays under 1 s: on two
-# cores K = 14 takes about 0.4 s and K = 15 just over 1 s. The rule is
+# cores K = 14 takes 0.4-0.65 s and K = 15 1.0-1.3 s. The rule is
 # measured on target 1 only: a small target at the cap costs far more (the
 # README's `search` section gives figures).
 MAX_DEPTH = 14

@@ -245,6 +245,13 @@ def linear_reference(k, target):
     return F(best[0], best[1]), sorted(optima)
 
 
+def phi(i, q):
+    """The recursive deficit floor Phi_i(q) over Fractions."""
+    if i == 0:
+        return 1 / F(q)
+    return min(1 / F(2 * q), phi(i - 1, 2 * i * q * q))
+
+
 def reduced_targets(max_q, low=F(0)):
     """Every reduced p/q in (0, 1] with q <= max_q and p/q >= low."""
     return [
@@ -344,13 +351,6 @@ class TestClosingStep:
                     got = _cut(p, q, a, j, g.numerator, g.denominator, n)
                     expected = child / 2 > g and phi(j - 1, Q) > g
                     assert got == expected, (j, gap, a, g)
-
-
-def phi(i, q):
-    """The recursive deficit floor Phi_i(q) over Fractions."""
-    if i == 0:
-        return 1 / F(q)
-    return min(1 / F(2 * q), phi(i - 1, 2 * i * q * q))
 
 
 class TestCompleteness:
