@@ -224,11 +224,7 @@ def _search_result(report: OptimalityReport) -> dict[str, Any]:
         "k": report.problem.k,
         "target": format_rational(report.problem.target),
         "incumbent_threshold": format_rational(report.problem.incumbent_threshold),
-        "optimum_sum": (
-            None
-            if report.optimum_sum is None
-            else format_rational(report.optimum_sum)
-        ),
+        "optimum_sum": format_rational(report.optimum_sum),
         "optima": [[_decimal(t) for t in tup] for tup in report.optima],
         "nodes_explored": report.nodes_explored,
         "matches_sylvester": report.matches_sylvester,
@@ -290,8 +286,7 @@ def _cmd_search(args):
     target = parse_rational(args.target)
     report = best_tuples(args.terms, target)
     result = _search_result(report)
-    # the report's optimum_sum is None when no tuple fits below the target
-    plain = [f"optimum {result['optimum_sum'] or 'none'}"]
+    plain = [f"optimum {result['optimum_sum']}"]
     plain.extend(f"optima {','.join(tup)}" for tup in result["optima"])
     plain.append(f"nodes explored {report.nodes_explored}")
     return result, plain, None

@@ -1,7 +1,7 @@
 """Greedy underapproximation and exhaustive optimality search.
 
 The enumerator walks nondecreasing denominator tuples depth first. At a
-node with prefix sum s, m open positions, and incumbent threshold t:
+node with prefix sum s, m open positions, and incumbent t:
 
 * validity forces the next term b to satisfy 1/b < target - s, so
   b >= floor(1/(target - s)) + 1 (the + 1 is exact even when the
@@ -17,8 +17,8 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   and hi is recomputed from the new t after each child returns. The node
   thus explores what it would after reseeding t with its greedy
   completion sum.
-* at every node with m >= 2 (the deficit-floor cut) write the gap
-  target - s = p/q in lowest terms and G = target - t > 0. A next term
+* at every node with m >= 2 and t > s (the deficit-floor cut) write the
+  gap target - s = p/q in lowest terms and G = target - t > 0. A next term
   a leaves the child gap p'/q' = (pa - q)/(qa), unreduced, with
   j = m - 1 terms still to place; the child reaches t only if some
   j-term completion falls short of p'/q' by at most G. Let c be the
@@ -37,9 +37,11 @@ node with prefix sum s, m open positions, and incumbent threshold t:
   q' is safe, and so is rounding Q = 2jq'^2/p' up to its integer
   ceiling, which only weakens the cut. The node skips a iff
   p'/(2q') > G and Phi_{j-1}(ceil(2jq'^2/p')) > G; both are strict, so
-  ties survive. The second condition says ceil(2jq'^2/p') <= N, the
-  largest integer with Phi_{j-1}(N) > G, and N depends only on j and the
-  incumbent. For integers Q >= 1 it is found by isqrt:
+  ties survive. (While t <= s the first condition cannot hold, since
+  p'/q' < target - s <= G, which is why such a node skips the test.) The
+  second condition says ceil(2jq'^2/p') <= N, the largest integer with
+  Phi_{j-1}(N) > G, and N depends only on j and the incumbent. For
+  integers Q >= 1 it is found by isqrt:
   - Phi_i(Q) = 1/Q_i, where Q_0 = Q and Q_{l+1} = 2(i - l) Q_l^2: Q_l >= 1
     gives Q_{l+1} >= 2 Q_l, so 1/(2 Q_l) >= 1/Q_{l+1} >= 1/Q_i and the
     recursive min is attained at its last level;
@@ -70,9 +72,9 @@ reports the full optimum set. The search is one depth-first pass from
 the root with one incumbent that tightens at every leaf, so the explored
 node set is a pure function of the problem.
 
-The incumbent starts at t = max(given threshold, g), where g is the
-greedy k-term sum. That is a cheaper start, not a soundness condition:
-from any lower t the walk reseeds itself by the t <= s rule above.
+The incumbent starts at t = 0, so by the t <= s rule the first descent
+from the root is the greedy tuple and its leaf sets t to the greedy k-term
+sum g. Every optimum is at least g, which the search checks afterwards.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Union
 
 from .errors import DepthCapExceeded, VerificationFailed
 from .rationals import (
@@ -102,6 +104,8 @@ MAX_DEPTH = 14
 
 @dataclass(frozen=True)
 class SearchProblem:
+    """incumbent_threshold is the greedy k-term sum: the walk's first incumbent."""
+
     k: int
     target: Fraction
     incumbent_threshold: Fraction
@@ -111,7 +115,7 @@ class SearchProblem:
 class OptimalityReport:
     problem: SearchProblem
     optima: tuple[DenominatorTuple, ...]
-    optimum_sum: Optional[Fraction]
+    optimum_sum: Fraction
     nodes_explored: int
     matches_sylvester: bool
 
@@ -151,17 +155,15 @@ def _cut(p: int, q: int, a: int, j: int, en: int, ed: int, n: int) -> bool:
     return cn * ed > 2 * cd * en and 2 * j * cd * cd <= n * cn
 
 
-def _walk(
-    k: int, target: Fraction, threshold: Fraction
-) -> tuple[Fraction, list[tuple[int, ...]], int]:
+def _walk(k: int, target: Fraction) -> tuple[Fraction, list[tuple[int, ...]], int]:
     """Explore every k-term tuple below target, depth first from the root.
 
-    Returns (final best, tuples attaining it inclusively of the starting
-    threshold, nodes explored). The incumbent tightens at every leaf.
-    Pure function of its arguments.
+    Returns (best sum, the tuples attaining it, nodes explored). The
+    incumbent starts at 0 and tightens at every leaf. Pure function of its
+    arguments.
     """
     tn, td = target.numerator, target.denominator
-    bn, bd = threshold.numerator, threshold.denominator
+    bn, bd = 0, 1
     cands: list[tuple[int, ...]] = []
     floors: dict[int, int] = {}  # m -> N for the current incumbent
     nodes = 0
@@ -180,7 +182,7 @@ def _walk(
             hi = lo if room <= 0 else (m * bd * sd) // room
             if b > hi:
                 return
-            if m > 1:
+            if m > 1 and room > 0:
                 en, ed = tn * bd - bn * td, td * bd
                 n = floors.get(m)
                 if n is None:
@@ -218,61 +220,36 @@ def _walk(
     return Fraction(bn, bd), cands, nodes
 
 
-def _check_depth(k: int) -> None:
-    if k > MAX_DEPTH:
-        raise DepthCapExceeded(
-            f"k = {k} exceeds the exhaustive-search depth cap {MAX_DEPTH}"
-        )
-
-
-def best_tuples(
-    k: int,
-    target: Union[Fraction, int] = ONE,
-    *,
-    incumbent_threshold: Optional[Fraction] = None,
-) -> OptimalityReport:
+def best_tuples(k: int, target: Union[Fraction, int] = ONE) -> OptimalityReport:
     """Enumerate every k-term tuple whose sum attains the maximum below target.
 
-    Seeds the incumbent with the greedy tuple unless a threshold is given.
-    A given threshold below the greedy sum seeds the search at the greedy
-    sum instead, which leaves the optima unchanged; the report's problem
-    keeps the given value.
-    The optimum set is collected inclusively (sums equal to the threshold
-    count) and returned in lexicographic order.
+    The walk's first incumbent is the greedy sum, which the report's problem
+    records; an optimum below it fails verification. Ties are collected and
+    the optimum set is returned in lexicographic order.
     """
     target = Fraction(target)
     if not 0 < target <= 1:
         raise ValueError(f"target must be in (0, 1], got {target}")
     if k < 0:
         raise ValueError(f"term count must be nonnegative, got {k}")
-    _check_depth(k)
+    if k > MAX_DEPTH:
+        raise DepthCapExceeded(
+            f"k = {k} exceeds the exhaustive-search depth cap {MAX_DEPTH}"
+        )
 
     greedy_sum = sum_reciprocals(greedy_underapprox(target, k))
-    if incumbent_threshold is None:
-        threshold = greedy_sum
-    else:
-        threshold = Fraction(incumbent_threshold)
-    if not ZERO <= threshold < target:
-        raise ValueError(
-            f"incumbent threshold {format_rational(threshold)} must lie in "
-            f"[0, {format_rational(target)})"
-        )
-    problem = SearchProblem(k, target, threshold)
-
+    problem = SearchProblem(k, target, greedy_sum)
     if k == 0:
-        optima = (DenominatorTuple(()),) if threshold == ZERO else ()
         return OptimalityReport(
-            problem,
-            optima,
-            ZERO if optima else None,
-            0,
-            bool(optima) and target == ONE,
+            problem, (DenominatorTuple(()),), ZERO, 0, target == ONE
         )
 
-    optimum, cands, nodes = _walk(k, target, max(threshold, greedy_sum))
-    if not cands:
-        return OptimalityReport(problem, (), None, nodes, False)
-
+    optimum, cands, nodes = _walk(k, target)
+    if optimum < greedy_sum:
+        raise VerificationFailed(
+            f"reported optimum {format_rational(optimum)} is below the greedy "
+            f"sum {format_rational(greedy_sum)}"
+        )
     optima_terms = sorted(cands)
     for cand in optima_terms:
         tup = validate_tuple(cand, target)
@@ -289,18 +266,16 @@ def best_tuples(
 def verify_theorem(k: int) -> OptimalityReport:
     """Exhaustively confirm the k-term optimum is the Sylvester prefix.
 
-    Seeds the search with the Sylvester sum itself (which the shortfall
-    identity pins at 1 - 1/(running product)) and demands that the optimum
-    set is exactly the Sylvester prefix at exactly that sum.
+    Searches below 1, then demands that the optimum sum is exactly
+    1 - 1/(running product), as the shortfall identity pins it, and that
+    the optimum set is exactly the Sylvester prefix.
     """
-    _check_depth(k)
-    prefix = sylvester(k)
-    threshold = ONE - Fraction(1, prefix.running_product)
-    report = best_tuples(k, ONE, incumbent_threshold=threshold)
-    if report.optimum_sum != threshold:
+    report = best_tuples(k)
+    bound = ONE - Fraction(1, sylvester(k).running_product)
+    if report.optimum_sum != bound:
         raise VerificationFailed(
-            f"optimum sum {report.optimum_sum} differs from the Sylvester "
-            f"sum {format_rational(threshold)} at k = {k}"
+            f"optimum sum {format_rational(report.optimum_sum)} differs from "
+            f"the Sylvester sum {format_rational(bound)} at k = {k}"
         )
     if not report.matches_sylvester:
         found = ", ".join(str(t) for t in report.optima)

@@ -1,5 +1,6 @@
 """Greedy construction and the exhaustive branch-and-bound enumerator."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -15,8 +16,10 @@ from efrac import (
     validate_tuple,
     verify_theorem,
 )
-from efrac.errors import DepthCapExceeded
+from efrac.cli import run
+from efrac.errors import DepthCapExceeded, VerificationFailed
 from efrac.search import MAX_DEPTH, _cut, _floor_threshold, _walk
+from tests.conftest import int_str_limit, needs_int_str_limit
 
 F = Fraction
 
@@ -87,15 +90,6 @@ class TestBestTuples:
         assert report.optimum_sum == 0
         assert report.matches_sylvester
 
-    def test_threshold_already_optimal_is_inclusive(self):
-        report = best_tuples(2, F(7, 10), incumbent_threshold=F(2, 3))
-        assert [t.terms for t in report.optima] == [(2, 6), (3, 3)]
-
-    def test_unreachable_threshold_returns_empty(self):
-        report = best_tuples(2, F(7, 10), incumbent_threshold=F(69, 100))
-        assert report.optima == ()
-        assert report.optimum_sum is None
-
     def test_depth_cap(self):
         for k in (MAX_DEPTH + 1, 23, 40, 65):
             with pytest.raises(DepthCapExceeded):
@@ -106,8 +100,18 @@ class TestBestTuples:
             best_tuples(-1)
         with pytest.raises(ValueError):
             best_tuples(2, F(3, 2))
-        with pytest.raises(ValueError):
-            best_tuples(2, incumbent_threshold=F(1))
+
+    def test_optimum_below_the_greedy_sum_fails(self, capsys, monkeypatch):
+        # the walk's first leaf is the greedy tuple, so a walk that ends
+        # below the greedy sum is broken and must not report an optimum
+        monkeypatch.setattr("efrac.search._walk", lambda k, target: (F(0), [], 0))
+        with pytest.raises(VerificationFailed):
+            best_tuples(3, F(7, 10))
+        code = run(["search", "--terms", "3", "--target", "7/10"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:VerificationFailed:")
 
     def test_greedy_never_beats_the_optimum(self):
         for target in (F(1), F(5, 6), F(7, 10), F(9, 11)):
@@ -135,10 +139,15 @@ class TestBestTuples:
             # an incumbent from an earlier first term cuts these
             (4, F(5, 11), 29),
             (3, F(9, 28), 12),
+            # long first descents: a change to the start of the walk shows here
+            (4, F(1, 13), 48),
+            (5, F(10, 17), 76),
+            (5, F(8, 19), 125),
+            (5, F(5, 26), 234),
         ],
         ids=[
             "3-7/10", "3-11/13", "4-7/10", "4-9/13", "4-12/13", "4-5/8",
-            "4-5/11", "3-9/28",
+            "4-5/11", "3-9/28", "4-1/13", "5-10/17", "5-8/19", "5-5/26",
         ],
     )
     def test_pinned_node_counts(self, k, target, nodes):
@@ -167,21 +176,6 @@ class TestBestTuples:
         report = best_tuples(k, target)
         assert [t.terms for t in report.optima] == optima
         assert report.optimum_sum == sum_reciprocals(optima[0])
-
-    @pytest.mark.parametrize(
-        "target", [F(1), F(7, 10), F(5, 6), F(11, 13), F(99, 100)]
-    )
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_weak_threshold_searches_from_the_greedy_sum(self, k, target):
-        # a threshold below the greedy sum seeds the search at the greedy
-        # sum, so only the reported problem differs from the default seed
-        default = best_tuples(k, target)
-        for threshold in (F(0), F(1, 4)):
-            report = best_tuples(k, target, incumbent_threshold=threshold)
-            assert report.problem.incumbent_threshold == threshold
-            assert report.optima == default.optima
-            assert report.optimum_sum == default.optimum_sum
-            assert report.nodes_explored == default.nodes_explored
 
 
 def brute_force_best(k, bmax, target=F(1)):
@@ -380,17 +374,13 @@ class TestCompleteness:
     )
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_unseeded_walk_reseeds_itself(self, k, target):
-        # from threshold 0 every node on the first descent has t <= s and
+        # from incumbent 0 every node on the first descent has t <= s and
         # takes hi = lo: the greedy completion must lift the incumbent
-        # and the walk must still reach the full optimum set
-        report = best_tuples(k, target)
-        best, cands, nodes = _walk(k, target, F(0))
-        assert best == report.optimum_sum
-        assert sorted(cands) == [t.terms for t in report.optima]
-        if target == 1:
-            # the greedy seed is the optimum, so the first descent lifts
-            # the incumbent straight to it and the walks explore alike
-            assert nodes == report.nodes_explored
+        # and the walk must still reach the linear scan's full optimum set
+        best, cands, _ = _walk(k, target)
+        expected_sum, expected_optima = linear_reference(k, target)
+        assert best == expected_sum
+        assert sorted(cands) == expected_optima
 
 
 class TestVerifyTheorem:
@@ -439,4 +429,18 @@ class TestVerifyTheorem:
         report = verify_theorem(0)
         assert report.optimum_sum == 0
         assert report.matches_sylvester
+
+    @needs_int_str_limit
+    def test_mismatch_message_survives_the_digit_limit(self, monkeypatch):
+        # a wrong optimum sum past 4,300 digits must still end in
+        # VerificationFailed, not in str()'s ValueError
+        real = best_tuples(3)
+        wrong = F(10**5000 - 1, 10**5000)
+
+        def far_off(k):
+            return dataclasses.replace(real, optimum_sum=wrong)
+
+        monkeypatch.setattr("efrac.search.best_tuples", far_off)
+        with int_str_limit(4300), pytest.raises(VerificationFailed):
+            verify_theorem(3)
 

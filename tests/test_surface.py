@@ -3,10 +3,14 @@
 ``efrac.__all__`` is pinned, and every ``efrac.<name>`` or
 ``from efrac import ...`` found in the benchmark, the demos, the README's
 Python blocks and the acceptance tests must resolve through it, so the
-surface can neither regrow nor drop a name a caller needs unseen.
+surface can neither regrow nor drop a name a caller needs unseen. The
+search entry points and its report are pinned the same way, down to their
+parameters and fields.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -101,3 +105,21 @@ def test_the_scan_sees_the_callers():
     # guards the regexes: a scan that matched nothing would pass vacuously
     seen = set().union(*map(names_used, caller_sources().values()))
     assert {"Split", "ProductDeficit", "best_tuples", "sylvester", "cli"} <= seen
+
+
+def test_search_signatures_are_pinned():
+    # a removed knob must not grow back unseen
+    assert list(inspect.signature(efrac.best_tuples).parameters) == ["k", "target"]
+    assert list(inspect.signature(efrac.verify_theorem).parameters) == ["k"]
+
+
+def test_report_fields_are_pinned():
+    # bench/selftest.py builds reports by these keywords
+    fields = [f.name for f in dataclasses.fields(efrac.OptimalityReport)]
+    assert fields == [
+        "problem",
+        "optima",
+        "optimum_sum",
+        "nodes_explored",
+        "matches_sylvester",
+    ]
