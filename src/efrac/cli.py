@@ -233,14 +233,13 @@ def _search_result(report: OptimalityReport) -> dict[str, Any]:
 
 def _cmd_sylvester(args):
     prefix = sylvester(args.terms)
-    total = sum_reciprocals(prefix.terms)
-    result = {
-        "k": prefix.k,
-        "terms": [_decimal(t) for t in prefix.terms],
-        "running_product": _decimal(prefix.running_product),
-        "reciprocal_sum": format_rational(total),
-        "shortfall": format_rational(ONE - total),
-    }
+    result = {"k": prefix.k, "terms": [_decimal(t) for t in prefix.terms]}
+    # plain output prints only the terms; the rest is for a report
+    if args.format == "structured" or args.output is not None:
+        total = sum_reciprocals(prefix.terms)
+        result["running_product"] = _decimal(prefix.running_product)
+        result["reciprocal_sum"] = format_rational(total)
+        result["shortfall"] = format_rational(ONE - total)
     return result, [",".join(result["terms"])], None
 
 

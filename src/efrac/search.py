@@ -62,10 +62,11 @@ node with prefix sum s, m open positions, and incumbent t:
   bisection. G shrinks as t grows, so this is redone with hi after each
   child.
 
-All of this runs on integers: the prefix sum, the incumbent, the gap and
-the room t - s are carried as (numerator, denominator) pairs, N as one
-integer, lo and hi come from floor division and every comparison is a
-cross multiplication. Only the gap is reduced to lowest terms.
+All of this runs on integer gaps: a node carries p/q = target - s and the
+walk one incumbent G = en/ed = target - t, both in lowest terms. The room
+t - s = p/q - G has the sign of room = p*ed - q*en, hi = floor(m*q*ed/room),
+and a leaf whose child gap is below G replaces G. N is one integer, and
+every comparison is a cross multiplication.
 
 Ties with the incumbent are collected, never discarded, so the search
 reports the full optimum set. The search is one depth-first pass from
@@ -159,31 +160,26 @@ def _walk(k: int, target: Fraction) -> tuple[Fraction, list[tuple[int, ...]], in
     """Explore every k-term tuple below target, depth first from the root.
 
     Returns (best sum, the tuples attaining it, nodes explored). The
-    incumbent starts at 0 and tightens at every leaf. Pure function of its
-    arguments.
+    incumbent gap G starts at target (t = 0) and shrinks at every leaf that
+    beats it. Pure function of its arguments.
     """
-    tn, td = target.numerator, target.denominator
-    bn, bd = 0, 1
+    en, ed = target.numerator, target.denominator
     cands: list[tuple[int, ...]] = []
     floors: dict[int, int] = {}  # m -> N for the current incumbent
     nodes = 0
 
-    def rec(pref: tuple[int, ...], sn: int, sd: int) -> None:
-        # the prefix sum is sn/sd and the incumbent bn/bd, neither reduced
-        nonlocal bn, bd, cands, nodes
+    def rec(pref: tuple[int, ...], p: int, q: int) -> None:
+        # the node's gap is p/q and the incumbent's G is en/ed, both reduced
+        nonlocal en, ed, cands, nodes
         m = k - len(pref)
-        p, q = tn * sd - sn * td, td * sd
-        g = gcd(p, q)
-        p, q = p // g, q // g
         lo = max(pref[-1] if pref else 2, q // p + 1)
         b = lo
         while True:
-            room = bn * sd - sn * bd
-            hi = lo if room <= 0 else (m * bd * sd) // room
+            room = p * ed - q * en
+            hi = lo if room <= 0 else (m * q * ed) // room
             if b > hi:
                 return
             if m > 1 and room > 0:
-                en, ed = tn * bd - bn * td, td * bd
                 n = floors.get(m)
                 if n is None:
                     n = floors[m] = _floor_threshold(m - 1, en, ed)
@@ -201,23 +197,25 @@ def _walk(k: int, target: Fraction) -> tuple[Fraction, list[tuple[int, ...]], in
                             c = mid
                     b = c
             nodes += 1
-            cn, cd = sn * b + sd, sd * b
+            cn, cd = p * b - q, q * b
+            g = gcd(cn, cd)
+            cn, cd = cn // g, cd // g
             if m == 1:
                 # Totals fall as b grows, so the smallest admissible term
                 # is the only candidate that can match or beat the
                 # incumbent.
-                if cn * bd > bn * cd:
-                    bn, bd = cn, cd
+                if cn * ed < en * cd:
+                    en, ed = cn, cd
                     cands = [pref + (b,)]
                     floors.clear()
-                else:  # total == best by the bound derivation
+                else:  # gap == G by the bound derivation
                     cands.append(pref + (b,))
                 return
             rec(pref + (b,), cn, cd)
             b += 1
 
-    rec((), 0, 1)
-    return Fraction(bn, bd), cands, nodes
+    rec((), en, ed)
+    return target - Fraction(en, ed), cands, nodes
 
 
 def best_tuples(k: int, target: Union[Fraction, int] = ONE) -> OptimalityReport:

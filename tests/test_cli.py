@@ -88,6 +88,16 @@ class TestPlainOutput:
         assert (code, err) == (0, "")
         assert out.endswith("\ncertificate valid\n")
 
+    def test_plain_sylvester_sums_nothing(self, capsys, monkeypatch):
+        # the plain line prints only the terms, so the sum, the product
+        # and the shortfall are rendered only into a structured report
+        def refuse(terms):
+            raise AssertionError("prefix summed for plain output")
+
+        monkeypatch.setattr(cli, "sum_reciprocals", refuse)
+        code, out, err = invoke(capsys, "sylvester", "--terms", "6")
+        assert (code, out, err) == (0, "2,3,7,43,1807,3263443\n", "")
+
     @pytest.mark.parametrize(
         "fmt,terms,calls",
         [

@@ -16,6 +16,7 @@ from efrac import (
     validate_tuple,
     verify_theorem,
 )
+from efrac import search
 from efrac.cli import run
 from efrac.errors import DepthCapExceeded, VerificationFailed
 from efrac.search import MAX_DEPTH, _cut, _floor_threshold, _walk
@@ -144,10 +145,13 @@ class TestBestTuples:
             (5, F(10, 17), 76),
             (5, F(8, 19), 125),
             (5, F(5, 26), 234),
+            # a deep general target: the final G's denominator has 15,385 bits
+            (12, F(1, 13), 6208),
         ],
         ids=[
             "3-7/10", "3-11/13", "4-7/10", "4-9/13", "4-12/13", "4-5/8",
             "4-5/11", "3-9/28", "4-1/13", "5-10/17", "5-8/19", "5-5/26",
+            "12-1/13",
         ],
     )
     def test_pinned_node_counts(self, k, target, nodes):
@@ -345,6 +349,24 @@ class TestClosingStep:
                     got = _cut(p, q, a, j, g.numerator, g.denominator, n)
                     expected = child / 2 > g and phi(j - 1, Q) > g
                     assert got == expected, (j, gap, a, g)
+
+    def test_pinned_call_counts(self, monkeypatch):
+        # node counts alone miss a cut tested where it cannot fire: the
+        # walk looks both helpers up as module globals, so count them there
+        calls = {"_cut": 0, "_floor_threshold": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(search, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(search, name, counting)
+        verify_theorem(6)
+        assert calls == {"_cut": 276, "_floor_threshold": 5}
+        calls.update(dict.fromkeys(calls, 0))
+        for target in reduced_targets(13, low=F(1, 3)):
+            if target < 1:
+                best_tuples(4, target)
+        assert calls == {"_cut": 2326, "_floor_threshold": 120}
 
 
 class TestCompleteness:
