@@ -25,6 +25,13 @@ tail builds the chain. It checks none of the claims it records; every one
 of them is checked only by :func:`validate_certificate`.
 :func:`quick_strict_check` gives the product-deficit leaf on its own.
 
+The builder memoises heads, not whole tuples. Tuples with a common prefix
+often split onto one head, so a sweep over many tuples builds that head
+once and shares it as one object, for as long as the memo keeps it (up to
+65,536 heads). A top-level tuple is certified once, so a memo entry for it
+would never be read again: ``build_certificate`` builds that level outside
+the memo, and only the head b1..b(ell-1) goes through it, at every level.
+
 :func:`validate_certificate` is an independent re-checker, also in
 integers, that shares no code with the builder. It walks the head spine in
 one loop. Every head must equal a prefix of the top tuple, so the terms are
@@ -33,9 +40,11 @@ built once. Each level re-derives its products, the maximality of ell,
 every chain pair and both sum comparisons (numerators over common
 denominators) against the validator's own Sylvester table for its length,
 cached per k: terms, suffix products and suffix sum numerators, O(k)
-integers. The three checks a Split makes after its head wait on a stack
-and run innermost first, so the order of failures and their ``head: ``
-prefixes are those of the recursion the loop replaces.
+integers. A certificate longer than ``MAX_TERMS`` fails before any table
+is built: the builder never makes one, and its table would take hours.
+The three checks a Split makes after its head wait on a stack and run
+innermost first, so the order of failures and their ``head: `` prefixes
+are those of the recursion the loop replaces.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .rationals import DenominatorTuple, product, validate_tuple
-from .sylvester import sylvester
+from .sylvester import MAX_TERMS, sylvester
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,6 @@ def build_certificate(
     return _build(tup.terms)
 
 
-@lru_cache(maxsize=1 << 16)
 def _build(terms: tuple[int, ...]) -> InequalityCertificate:
     k = len(terms)
     if k == 0:
@@ -152,9 +160,13 @@ def _build(terms: tuple[int, ...]) -> InequalityCertificate:
         chain.append((run_b, run_a))
     tail_equality = terms[ell - 1 :] == a_terms[ell - 1 :]
 
-    head = _build(terms[: ell - 1])
+    head = _head(terms[: ell - 1])
     node = Split(ell, tuple(chain), witness, tail_equality, head)
     return InequalityCertificate(terms, node, tail_equality and head.is_equality)
+
+
+# Only heads go through the memo (see the module docstring).
+_head = lru_cache(maxsize=1 << 16)(_build)
 
 
 # --- independent re-checker ------------------------------------------------
@@ -212,6 +224,9 @@ def _validate(cert: InequalityCertificate) -> tuple[int, Optional[str]]:
     """One loop down the head spine (see the module docstring); returns the
     failing level's depth (0 for ``cert``) and reason, or (0, None)."""
     terms = tuple(cert.terms)
+    k = len(terms)
+    if k > MAX_TERMS:
+        return 0, f"too_many_terms: {k} terms but the cap is {MAX_TERMS}"
     prods = [1]  # prods[i] is b1 * ... * bi, multiplied as math.prod does
     for i, t in enumerate(terms):
         if not isinstance(t, int) or t < 2:
@@ -221,7 +236,6 @@ def _validate(cert: InequalityCertificate) -> tuple[int, Optional[str]]:
         prods.append(prods[-1] * t)
     pending = []  # one entry per Split above the current level
     level = cert
-    k = len(terms)
     while True:
         depth = len(pending)
         pb = prods[k]

@@ -270,13 +270,16 @@ def _cmd_certify(args):
         "sylvester_sum": total_text if total == bound else format_rational(bound),
         "is_equality": cert.is_equality,
     }
-    plain = [
-        f"terms {format_int_list(cert.terms)}",
-        f"sum {result['sum']}",
-        f"sylvester sum {result['sylvester_sum']}",
-        f"equality {'yes' if cert.is_equality else 'no'}",
-        f"certificate {'valid' if check.ok else 'INVALID'}",
-    ]
+    plain = []
+    # printed only in plain mode or with --output; a report formats its own
+    if args.format == "plain" or args.output is not None:
+        plain = [
+            f"terms {format_int_list(cert.terms)}",
+            f"sum {result['sum']}",
+            f"sylvester sum {result['sylvester_sum']}",
+            f"equality {'yes' if cert.is_equality else 'no'}",
+            f"certificate {'valid' if check.ok else 'INVALID'}",
+        ]
     failure = None if check.ok else f"certificate failed validation: {check.reason}"
     return result, plain, failure
 

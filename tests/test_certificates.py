@@ -12,6 +12,7 @@ validator's spine walk, is the oracle for the reason it names.
 """
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -30,8 +31,9 @@ from efrac import (
     validate_certificate,
     validate_tuple,
 )
-from efrac.certificates import Empty, ValidationResult
+from efrac.certificates import Empty, InequalityCertificate, ValidationResult, _head
 from efrac.errors import InvalidTuple, TermNotInteger
+from efrac.sylvester import MAX_TERMS
 from tests.conftest import valid_tuples
 
 
@@ -234,7 +236,56 @@ class TestBuildCertificate:
         assert (total == bound) == build_certificate(terms).is_equality
 
 
+def spine_heads(cert):
+    """The terms of every head below the top level of a certificate."""
+    while isinstance(cert.node, Split):
+        cert = cert.node.head
+        yield cert.terms
+
+
+class TestHeadMemo:
+    def test_memo_holds_the_heads_and_no_top_level_tuple(self):
+        _head.cache_clear()
+        heads, tops = set(), set()
+        for k in range(3):
+            for terms in combinations_with_replacement(range(2, 61), k):
+                if sum_reciprocals(terms) < 1:
+                    heads.update(spine_heads(build_certificate(terms)))
+                    tops.add(terms)
+        assert tops - heads
+        info = _head.cache_info()
+        assert info.currsize == len(heads)
+        for terms in heads:
+            _head(terms)
+        after = _head.cache_info()
+        assert (after.hits, after.misses) == (info.hits + len(heads), info.misses)
+
+    def test_tuples_with_one_head_share_it(self):
+        first = build_certificate((2, 3, 7, 43))
+        second = build_certificate((2, 3, 7, 44))
+        assert first.node.head.terms == (2, 3, 7)
+        assert first.node.head is second.node.head
+
+    @given(valid_tuples())
+    @settings(max_examples=200)
+    def test_cold_build_equals_warm(self, terms):
+        build_certificate(terms)
+        warm = build_certificate(terms)
+        _head.cache_clear()
+        assert build_certificate(terms) == warm
+
+
 class TestValidateCertificate:
+    @pytest.mark.parametrize("k", [MAX_TERMS + 1, 40])
+    def test_over_long_forgery_fails_before_any_table(self, k):
+        # no builder makes a certificate this long; a table for it would
+        # take seconds at k = 23 and hours at k = 40
+        forged = InequalityCertificate((k + 1,) * k, Empty(), True)
+        start = time.perf_counter()
+        result = validate_certificate(forged)
+        assert time.perf_counter() - start < 0.5
+        assert result.reason == f"too_many_terms: {k} terms but the cap is {MAX_TERMS}"
+
     def test_round_trip_on_pinned_tuples(self):
         for terms in ((), (2,), (5,), (2, 3, 7, 43), (2, 3, 9, 42), (2, 3, 11, 14)):
             result = validate_certificate(build_certificate(terms))

@@ -126,6 +126,37 @@ class TestPlainOutput:
         assert code == 0
         assert len(formatted) == calls
 
+    @pytest.mark.parametrize(
+        "fmt,to_file,calls",
+        [
+            # the structured report formats the terms in certificate_to_dict
+            ("plain", False, 1),
+            ("structured", False, 0),
+            # with --output the plain lines are printed as well
+            ("plain", True, 1),
+            ("structured", True, 1),
+        ],
+        ids=["plain", "structured", "plain-output", "structured-output"],
+    )
+    def test_certify_formats_the_plain_terms_only_when_printed(
+        self, capsys, monkeypatch, tmp_path, fmt, to_file, calls
+    ):
+        real = cli.format_int_list
+        formatted = []
+
+        def counting(values):
+            formatted.append(values)
+            return real(values)
+
+        monkeypatch.setattr(cli, "format_int_list", counting)
+        argv = ["certify", "--tuple", "2,3,9,42", "--format", fmt]
+        if to_file:
+            argv += ["--output", str(tmp_path / "report.json")]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert len(formatted) == calls
+        assert out.startswith("terms 2,3,9,42\n") == bool(calls)
+
     def test_search_with_ties(self, capsys):
         code, out, _ = invoke(
             capsys, "search", "--terms", "2", "--target", "7/10"
