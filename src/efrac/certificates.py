@@ -35,12 +35,16 @@ the memo, and only the head b1..b(ell-1) goes through it, at every level.
 :func:`validate_certificate` is an independent re-checker, also in
 integers, that shares no code with the builder. It walks the head spine in
 one loop. Every head must equal a prefix of the top tuple, so the terms are
-checked once (a head need only hold ints) and the b-side prefix products
-built once. Each level re-derives its products, the maximality of ell,
-every chain pair and both sum comparisons (numerators over common
-denominators) against the validator's own Sylvester table for its length,
-cached per k: terms, suffix products and suffix sum numerators, O(k)
-integers. A certificate longer than ``MAX_TERMS`` fails before any table
+checked once (a head need only hold ints) and the b-side sums built once,
+by one forward prefix-sum recurrence: with P_i = b1 * ... * bi, the sum
+1/b1 + ... + 1/bi is N_i / P_i for N_i = N_(i-1) * bi + P_(i-1). A level of
+length k has the sum N_k / P_k, and its tail from ell the sum
+(N_k - N_(ell-1) * S) / P_k, where S is the tail's product, so the
+validator divides nothing. Each level re-derives its products, the
+maximality of ell, every chain pair and both sum comparisons (numerators
+cross multiplied) against the validator's own Sylvester table for its
+length, cached per k: terms, suffix products and suffix sum numerators,
+O(k) integers. A certificate longer than ``MAX_TERMS`` fails before any table
 is built: the builder never makes one, and its table would take hours.
 The three checks a Split makes after its head wait on a stack and run
 innermost first, so the order of failures and their ``head: `` prefixes
@@ -193,14 +197,6 @@ def _sylvester_table(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(terms), tuple(suffix), tuple(nums)
 
 
-def _sum_numerator(values: Sequence[int], common: int) -> int:
-    # common is the product; a plain loop beats sum() on tuples this short
-    total = 0
-    for v in values:
-        total += common // v
-    return total
-
-
 def validate_certificate(cert: InequalityCertificate) -> ValidationResult:
     """Re-derive every claim from the tuple alone; never raises.
 
@@ -227,19 +223,21 @@ def _validate(cert: InequalityCertificate) -> tuple[int, Optional[str]]:
     k = len(terms)
     if k > MAX_TERMS:
         return 0, f"too_many_terms: {k} terms but the cap is {MAX_TERMS}"
-    prods = [1]  # prods[i] is b1 * ... * bi, multiplied as math.prod does
+    # prods[i] is b1 * ... * bi, multiplied as math.prod does, and nums[i]
+    # the numerator of 1/b1 + ... + 1/bi over it
+    prods, nums = [1], [0]
     for i, t in enumerate(terms):
         if not isinstance(t, int) or t < 2:
             return 0, f"term_invalid: terms[{i}] = {t!r}"
         if i and terms[i - 1] > t:
             return 0, f"terms_not_sorted: terms[{i - 1}] > terms[{i}]"
+        nums.append(nums[-1] * t + prods[-1])
         prods.append(prods[-1] * t)
     pending = []  # one entry per Split above the current level
     level = cert
     while True:
         depth = len(pending)
-        pb = prods[k]
-        num_b = _sum_numerator(terms[:k], pb)
+        pb, num_b = prods[k], nums[k]
         if num_b >= pb:
             return depth, "sum_not_below_one"
         a_terms, a_suffix, a_nums = _sylvester_table(k)
@@ -297,12 +295,12 @@ def _validate(cert: InequalityCertificate) -> tuple[int, Optional[str]]:
                 )
             if run_b < run_a:
                 return depth, f"chain_inequality_violated: at j = {j}"
-        tail_b = terms[ell - 1 : k]
-        if node.tail_equality != (tail_b == a_terms[ell - 1 :]):
+        if node.tail_equality != (terms[ell - 1 : k] == a_terms[ell - 1 :]):
             return depth, "tail_equality_flag_wrong"
-        # both tail sums as numerators over their products, cross multiplied
-        lhs = _sum_numerator(tail_b, suffix_b) * a_suffix[ell]
-        rhs = a_nums[ell] * suffix_b
+        # b's tail sum is (num_b - nums[ell-1]*suffix_b) / pb; cross multiplied
+        # with the Sylvester tail's a_nums[ell] / a_suffix[ell]
+        lhs = (num_b - nums[ell - 1] * suffix_b) * a_suffix[ell]
+        rhs = a_nums[ell] * pb
         if lhs > rhs:
             return depth, "tail_sum_comparison_violated"
         if (lhs == rhs) != node.tail_equality:

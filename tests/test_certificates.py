@@ -3,7 +3,7 @@
 Both sides work in integers, and they stay independent because they share
 no code: the builder makes one backward pass over suffix products and one
 forward pass over the tail, while the validator re-derives every claim from
-its own Sylvester table and its own sums over common denominators.
+its own Sylvester table and its own prefix-sum recurrence.
 ``quick_strict_check`` and the test-local ``largest_ell`` and
 ``chain_from_ell`` serve as an oracle for the builder's nodes. Tampering
 tests flip single fields and expect the validator to name the broken claim;
@@ -398,26 +398,21 @@ class TestValidateCertificate:
 
 
 class Forged(int):
-    """An int term whose products and quotients with chosen ints are off.
+    """An int term whose products with chosen ints are off.
 
-    ``rmul`` and ``rfloordiv`` map a plain int ``x`` to the error added to
-    ``x * term`` and ``x // term``. Under honest integer arithmetic the
-    chain inequality and the three sum checks follow from the checks before
-    them, so only forged arithmetic can show that each is still wired to
-    its own reason.
+    ``rmul`` maps a plain int ``x`` to the error added to ``x * term``.
+    Under honest integer arithmetic the chain inequality and the three sum
+    checks follow from the checks before them, so only forged arithmetic
+    can show that each is still wired to its own reason.
     """
 
-    def __new__(cls, value, rmul=None, rfloordiv=None):
+    def __new__(cls, value, rmul=None):
         self = super().__new__(cls, value)
         self.rmul = rmul or {}
-        self.rfloordiv = rfloordiv or {}
         return self
 
     def __rmul__(self, other):
         return int(other) * int(self) + self.rmul.get(other, 0)
-
-    def __rfloordiv__(self, other):
-        return int(other) // int(self) + self.rfloordiv.get(other, 0)
 
 
 def forge(cert, position, **lies):
@@ -428,6 +423,10 @@ def forge(cert, position, **lies):
 
 
 class TestValidatorDefenceInDepth:
+    # The validator's prefix-sum recurrence N_i = N_(i-1) * b_i + P_(i-1)
+    # multiplies the numerator so far by the next term, so a lie in
+    # ``rmul`` moves N_i and every sum read from it.
+
     def test_chain_inequality_violated(self):
         # 1 * 9 reads as 4, so the chain restarting at 9 falls below 7
         cert = build_certificate((2, 3, 9, 42))
@@ -437,21 +436,26 @@ class TestValidatorDefenceInDepth:
         assert result.reason == "chain_inequality_violated: at j = 3"
 
     def test_tail_sum_comparison_violated(self):
-        # 378 // 42 reads as 21: tail sum 63/378 above the Sylvester 50/301
+        # N_3 * 42 = 51 * 42 reads 71 high, so the sum is 2267/2268 and the
+        # tail (9, 42) reads (2267 - 5 * 378)/2268 = 377/2268, above the
+        # Sylvester 50/301
         cert = build_certificate((2, 3, 9, 42))
-        bad = forge(cert, 3, rfloordiv={378: 12})
+        bad = forge(cert, 3, rmul={51: 71})
         assert validate_certificate(bad).reason == "tail_sum_comparison_violated"
 
     def test_tail_strictness_wrong(self):
-        # equal tails (43,) whose sums no longer agree
+        # N_3 * 43 = 41 * 43 reads 1 low, so the sum is 1804/1806 and the
+        # equal tails (43,) read 41/1806 against 1/43 = 42/1806
         cert = build_certificate((2, 3, 7, 43))
-        bad = forge(cert, 3, rfloordiv={43: -1})
+        bad = forge(cert, 3, rmul={41: -1})
         assert validate_certificate(bad).reason == "tail_strictness_wrong"
 
     def test_final_strictness_wrong(self):
-        # only the full sum moves: 1804/1806 against a claimed equality
+        # N_3 * 43 reads 1 high and P_3 * 43 = 42 * 43 reads 1849: the tail
+        # still reads (1806 - 41 * 43)/1849 = 1/43, but the full sum
+        # 1806/1849 is below 1805/1806 against a claimed equality
         cert = build_certificate((2, 3, 7, 43))
-        bad = forge(cert, 3, rfloordiv={1806: -1})
+        bad = forge(cert, 3, rmul={41: 1, 42: 43})
         assert validate_certificate(bad).reason == "final_strictness_wrong"
 
 
@@ -626,9 +630,7 @@ def spine_tampers(draw):
     tuple's prefix, so int subclasses with lying arithmetic are left to
     TestValidatorDefenceInDepth, which forges the top tuple.
     """
-    spine = [build_certificate(draw(valid_tuples(max_len=6)))]
-    while isinstance(spine[-1].node, Split):
-        spine.append(spine[-1].node.head)
+    spine = spine_levels(build_certificate(draw(valid_tuples(max_len=6))))
     depth = draw(st.integers(0, len(spine) - 1))
     level = spine[depth]
     node = level.node
@@ -667,9 +669,59 @@ def spine_tampers(draw):
     elif field == "head":
         head = build_certificate(draw(valid_tuples(max_len=3)))
         level = replace(level, node=replace(node, head=head))
+    return respine(spine, depth, level)
+
+
+def spine_levels(cert):
+    """The certificate and every head below it, top first."""
+    spine = [cert]
+    while isinstance(spine[-1].node, Split):
+        spine.append(spine[-1].node.head)
+    return spine
+
+
+def respine(spine, depth, level):
+    """The top certificate with ``level`` in place of ``spine[depth]``."""
     for parent in reversed(spine[:depth]):
         level = replace(parent, node=replace(parent.node, head=level))
     return level
+
+
+def level_tampers(level):
+    """One fixed change of each field kind that spine_tampers draws."""
+    node, terms = level.node, level.terms
+    yield replace(level, is_equality=not level.is_equality)
+    if terms:
+        yield replace(level, terms=terms[:-1] + (terms[-1] + 1,))
+        yield replace(level, terms=(terms[0] - 1,) + terms[1:])
+        # only the first: later terms can be too large for a float
+        yield replace(level, terms=(float(terms[0]),) + terms[1:])
+    yield replace(level, node=ProductDeficit(7, 11))
+    if not isinstance(node, Split):
+        return
+    yield replace(level, node=Empty())
+    for ell in (0, node.ell - 1, node.ell + 1, len(terms) + 1, None):
+        yield replace(level, node=replace(node, ell=ell))
+    for i, delta in ((0, 1), (-1, -1)):
+        chain = list(node.chain)
+        chain[i] = _bumped(chain[i], delta)
+        yield replace(level, node=replace(node, chain=tuple(chain)))
+    for witness in (None, _bumped(node.deficit_witness, 1)):
+        if witness != node.deficit_witness:
+            yield replace(level, node=replace(node, deficit_witness=witness))
+    yield replace(level, node=replace(node, tail_equality=not node.tail_equality))
+    yield replace(level, node=replace(node, head=build_certificate((2, 5))))
+
+
+def deep_spine_tuples():
+    """Sylvester prefixes of 7 to 14 terms and two variants of each."""
+    for k in range(7, 15):
+        a = sylvester(k).terms
+        yield a
+        # the last suffix falls short, so ell = k - 1 over a Sylvester head
+        yield a[:-2] + (a[-2] + 1, a[-1] - 1)
+        # Splits at ell = j for every j >= 4, down to the deficit head (2, 4, 5)
+        yield (2, 4, 5, 46) + a[4:]
 
 
 class TestSpineWalk:
@@ -698,6 +750,25 @@ class TestSpineWalk:
     @settings(max_examples=400)
     def test_matches_the_recursive_reference(self, cert):
         assert validate_certificate(cert) == reference_validate(cert)
+
+    def test_matches_the_recursive_reference_on_deep_spines(self):
+        # spine_tampers stops at 6 terms; these tamper every depth of
+        # spines of 7 to 14 terms, where each level reads the prefix sums
+        # at ell - 1
+        for terms in deep_spine_tuples():
+            cert = build_certificate(terms)
+            assert validate_certificate(cert).ok
+            assert reference_validate(cert).ok
+            spine = spine_levels(cert)
+            for depth, level in enumerate(spine):
+                for bad in level_tampers(level):
+                    bad = respine(spine, depth, bad)
+                    assert validate_certificate(bad) == reference_validate(bad)
+
+    def test_twenty_term_prefix_validates_as_an_equality(self):
+        cert = build_certificate(sylvester(20).terms)
+        assert cert.is_equality
+        assert validate_certificate(cert).ok
 
 
 class TestNonIntegerTerms:

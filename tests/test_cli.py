@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +279,26 @@ class TestErrorPaths:
             assert (code, out) == (1, "")
             assert len(err.splitlines()) == 1
             assert err.startswith("error:CapExceeded:")
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            ("--n-max", "1000000000"),
+            ("--n-max", "4000000"),
+            ("--n-max", "13108", "--bound", "31"),
+            ("--n-max", "100", "--bound", str(10**4000), "--no-filter"),
+        ],
+        ids=["n-max-1e9", "n-max-4e6", "just-over", "long-bound"],
+    )
+    def test_fuzz_work_budget_ends_at_once(self, capsys, size):
+        # each would draw, multiply and sum more than 65,536 bits per side
+        # in one trial; the cap is checked from the arguments alone
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "fuzz", "--trials", "20", *size)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:CapExceeded:")
 
     @pytest.mark.parametrize(
         "argv",

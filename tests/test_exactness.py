@@ -4,6 +4,10 @@ Every value the package computes is an integer or a Fraction. The scan
 rejects what would bring a float in: a float literal, the name ``float``,
 true division with ``/``, and any ``math`` function outside the exact
 integer ones.
+
+A second scan holds the certificate validator to multiplication: neither
+``efrac.certificates._validate`` nor any module function it calls, at any
+depth, may use ``//``, ``%`` or ``divmod``.
 """
 
 import ast
@@ -67,3 +71,63 @@ def test_package_source_has_no_float():
         for line, what in inexact_nodes(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def divisions(tree):
+    """(line, description) for each floor division, modulo or divmod."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, (ast.FloorDiv, ast.Mod)
+        ):
+            symbol = "%" if isinstance(node.op, ast.Mod) else "//"
+            yield node.lineno, f"operator {symbol}"
+        elif isinstance(node, ast.Name) and node.id == "divmod":
+            yield node.lineno, "name divmod"
+
+
+def reached_functions(tree, root):
+    """The module function ``root`` and every module function it calls."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = {}, [root]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached[name] = defs[name]
+            todo += [
+                node.func.id
+                for node in ast.walk(defs[name])
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in defs
+            ]
+    return reached.values()
+
+
+def validator_divisions(tree):
+    for function in reached_functions(tree, "_validate"):
+        for line, what in divisions(function):
+            yield line, f"{function.name}: {what}"
+
+
+def test_division_scan_sees_each_construct_in_a_callee():
+    source = (
+        "def _validate(a):\n"
+        "    return _helper(a) + a * 2\n"
+        "def _helper(a):\n"
+        "    a //= 2\n"
+        "    return a % 3 + divmod(a, 5)[0] + _validate(a // 7)\n"
+        "def unrelated(a):\n"
+        "    return a // 2\n"
+    )
+    found = sorted(validator_divisions(ast.parse(source)))
+    assert found == [
+        (4, "_helper: operator //"),
+        (5, "_helper: name divmod"),
+        (5, "_helper: operator %"),
+        (5, "_helper: operator //"),
+    ]
+
+
+def test_certificate_validator_does_not_divide():
+    source = (SRC / "certificates.py").read_text(encoding="utf-8")
+    assert list(validator_divisions(ast.parse(source))) == []

@@ -35,6 +35,7 @@ from efrac.errors import (
     LengthMismatch,
 )
 from efrac.majorization import (
+    MAX_FUZZ_WORK,
     MAX_SYMMETRIC_BITS,
     MAX_SYMMETRIC_WORK,
     _trial_rng,
@@ -288,6 +289,15 @@ class TestBruteForceSearch:
         assert not check_hypotheses(found.instance)
         if found.kind == "sum_domination":
             assert sum(found.instance.x) < sum(found.instance.y)
+
+    def test_work_budget_is_checked_before_any_trial(self):
+        # 30 has 5 bits: n_max * 5 may reach the budget but not pass it
+        n_max = MAX_FUZZ_WORK // 5
+        assert brute_force_prop_search(n_max, 0, 30, seed=0) is None
+        with pytest.raises(CapExceeded, match="fuzz instances"):
+            brute_force_prop_search(n_max + 1, 0, 30, seed=0)
+        with pytest.raises(CapExceeded, match="fuzz instances"):
+            brute_force_prop_search(1, 10**9, 1 << MAX_FUZZ_WORK, seed=0)
 
     def test_trial_streams_are_independent_of_history(self):
         # drawing trial 7 alone gives the same instance as inside a run
